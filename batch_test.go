@@ -2,11 +2,55 @@ package hetpnoc
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
 	"hetpnoc/internal/batch"
+	"hetpnoc/internal/fabric"
 )
+
+// newBatchPlan lowers every public config onto the internal fabric form
+// and plans them as one batch with the engine's defaults.
+func newBatchPlan(tb testing.TB, cfgs []Config) *batch.Plan {
+	tb.Helper()
+	specs := make([]fabric.Config, len(cfgs))
+	for i, c := range cfgs {
+		fc, err := c.toFabricConfig()
+		if err != nil {
+			tb.Fatalf("config %d: %v", i, err)
+		}
+		specs[i] = fc
+	}
+	plan, err := batch.NewPlan(specs, batch.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
+// runBatch executes cfgs as one batch plan and lifts the results into
+// the public form, mirroring RunContext: Events is non-nil exactly when
+// the config enabled the event log.
+func runBatch(tb testing.TB, cfgs []Config) []Result {
+	tb.Helper()
+	out, err := newBatchPlan(tb, cfgs).Run(context.Background())
+	if err != nil {
+		tb.Fatalf("batch run: %v", err)
+	}
+	results := make([]Result, len(out))
+	for i, r := range out {
+		res := fromFabricResult(r.Res)
+		if r.Events != nil {
+			res.Events = make([]string, len(r.Events))
+			for j, e := range r.Events {
+				res.Events[j] = e.String()
+			}
+		}
+		results[i] = res
+	}
+	return results
+}
 
 // equivalenceConfigs builds the differential corpus for the batch
 // oracle: every architecture crossed with every bandwidth set, each
@@ -44,12 +88,9 @@ func equivalenceConfigs() []Config {
 // state between members.
 func TestBatchEquivalence(t *testing.T) {
 	cfgs := equivalenceConfigs()
-	batched, err := RunBatch(cfgs)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
+	batched := runBatch(t, cfgs)
 	if len(batched) != len(cfgs) {
-		t.Fatalf("RunBatch returned %d results for %d configs", len(batched), len(cfgs))
+		t.Fatalf("batch run returned %d results for %d configs", len(batched), len(cfgs))
 	}
 	for i, cfg := range cfgs {
 		name := fmt.Sprintf("config %d (%v/set%d/seed%d/load%g)",
@@ -90,15 +131,7 @@ func TestBatchEquivalence(t *testing.T) {
 // architecture × set point must collapse onto one fabric build.
 func TestBatchEquivalenceDedupes(t *testing.T) {
 	cfgs := equivalenceConfigs()
-	specs, err := lowerAll(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := batch.NewPlan(specs, batch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := plan.Stats()
+	st := newBatchPlan(t, cfgs).Stats()
 	wantGroups := len(cfgs) / 4 // 2 seeds × 2 loads per prefix
 	if st.Groups != wantGroups {
 		t.Errorf("plan built %d groups for %d members, want %d", st.Groups, st.Members, wantGroups)
@@ -117,27 +150,8 @@ func TestBatchSweep256Builds(t *testing.T) {
 	if len(cfgs) != 256 {
 		t.Fatalf("corpus has %d points, want 256", len(cfgs))
 	}
-	specs, err := lowerAll(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := batch.NewPlan(specs, batch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := plan.Stats()
+	st := newBatchPlan(t, cfgs).Stats()
 	if st.Groups != 8 || st.LargestGroup != 32 {
 		t.Errorf("plan stats = %+v, want 8 groups of 32", st)
-	}
-}
-
-// TestRunBatchEmpty: an empty batch is a no-op, not an error.
-func TestRunBatchEmpty(t *testing.T) {
-	res, err := RunBatch(nil)
-	if err != nil {
-		t.Fatalf("RunBatch(nil): %v", err)
-	}
-	if len(res) != 0 {
-		t.Fatalf("RunBatch(nil) returned %d results", len(res))
 	}
 }

@@ -15,7 +15,6 @@ package hetpnoc
 import (
 	"testing"
 
-	"hetpnoc/internal/batch"
 	"hetpnoc/internal/experiments"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/traffic"
@@ -306,32 +305,21 @@ func sweep256Configs() []Config {
 	return cfgs
 }
 
-// BenchmarkBatchSweep256 runs the 256-point sweep through the batch
-// engine: 8 fabric builds, every other point forked off a pristine
-// checkpoint, groups spread over GOMAXPROCS workers. Compare against
+// BenchmarkBatchSweep256 runs the 256-point sweep through one
+// internal/batch plan (batch.NewPlan(...).Run): 8 fabric builds, every
+// other point forked off a pristine checkpoint, groups spread over
+// GOMAXPROCS workers. Compare against
 // BenchmarkSequentialSweep256 — the same points run naively — for the
 // batching speedup; results are byte-identical (TestBatchEquivalence).
 func BenchmarkBatchSweep256(b *testing.B) {
 	cfgs := sweep256Configs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := RunBatch(cfgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != len(cfgs) {
+		if res := runBatch(b, cfgs); len(res) != len(cfgs) {
 			b.Fatalf("got %d results for %d configs", len(res), len(cfgs))
 		}
 	}
-	specs, err := lowerAll(cfgs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := batch.NewPlan(specs, batch.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(plan.Stats().Groups), "fabric-builds")
+	b.ReportMetric(float64(newBatchPlan(b, cfgs).Stats().Groups), "fabric-builds")
 	b.ReportMetric(float64(len(cfgs)), "points")
 }
 

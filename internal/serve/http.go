@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"hetpnoc"
@@ -25,10 +24,8 @@ type RunResponse struct {
 	Cached bool `json:"cached"`
 	// Coalesced reports the request shared an identical in-flight run.
 	Coalesced bool `json:"coalesced"`
-	// Batched reports the run executed inside a shared-prefix batch:
-	// the sweep grouped it with other points selecting the same fabric
-	// build (Config.NormalizedPrefix) and it forked off the shared
-	// fabric instead of paying its own build.
+	// Deprecated: Batched is never set; sweep points run as ordinary
+	// pool jobs and report Cached or Coalesced like /v1/run.
 	Batched bool           `json:"batched,omitempty"`
 	Result  hetpnoc.Result `json:"result"`
 }
@@ -73,12 +70,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RunResponse{
+	writeJSON(w, http.StatusOK, runResponse(out))
+}
+
+func runResponse(out Outcome) RunResponse {
+	return RunResponse{
 		Key:       out.Key.String(),
 		Cached:    out.Cached,
 		Coalesced: out.Coalesced,
 		Result:    out.Result,
-	})
+	}
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -100,115 +101,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SweepResponse{Points: points})
 }
 
-// runSweep partitions the points by batch prefix (Config.NormalizedPrefix)
-// and executes each partition as one unit of work, with at most Workers
-// concurrent units. Partitions of two or more points go through
-// SubmitBatch — one fabric build per partition, every point forked off
-// it — while singletons take the ordinary Submit path and keep its
-// coalescing with concurrent /v1/run traffic. Singletons hitting pool
-// backpressure back off and retry until the request context expires —
-// a sweep is one logical request, so a transiently full queue should
-// stretch it, not shred it.
+// runSweep executes the points through SubmitBatch and renders them in
+// request order.
 func (s *Server) runSweep(ctx context.Context, configs []hetpnoc.Config) ([]RunResponse, error) {
-	groups, err := groupByPrefix(configs)
+	outs, err := s.SubmitBatch(ctx, configs)
 	if err != nil {
 		return nil, err
 	}
-	points := make([]RunResponse, len(configs))
-	errs := make([]error, len(groups))
-	sem := make(chan struct{}, s.cfg.Workers)
-	var wg sync.WaitGroup
-	for gi, members := range groups {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(gi int, members []int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[gi] = s.runSweepGroup(ctx, configs, members, points)
-		}(gi, members)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	points := make([]RunResponse, len(outs))
+	for i, out := range outs {
+		points[i] = runResponse(out)
 	}
 	return points, nil
-}
-
-// runSweepGroup executes one prefix partition and writes each member's
-// response into its original slot.
-func (s *Server) runSweepGroup(ctx context.Context, configs []hetpnoc.Config, members []int, points []RunResponse) error {
-	if len(members) == 1 {
-		i := members[0]
-		out, err := s.submitWithRetry(ctx, configs[i])
-		if err != nil {
-			return err
-		}
-		points[i] = sweepPoint(out)
-		return nil
-	}
-	cfgs := make([]hetpnoc.Config, len(members))
-	for mi, i := range members {
-		cfgs[mi] = configs[i]
-	}
-	outs, err := s.SubmitBatch(ctx, cfgs)
-	if err != nil {
-		return err
-	}
-	for mi, i := range members {
-		points[i] = sweepPoint(outs[mi])
-	}
-	return nil
-}
-
-func sweepPoint(out Outcome) RunResponse {
-	return RunResponse{
-		Key:       out.Key.String(),
-		Cached:    out.Cached,
-		Coalesced: out.Coalesced,
-		Batched:   out.Batched,
-		Result:    out.Result,
-	}
-}
-
-// groupByPrefix partitions the request indices by the canonical bytes of
-// each config's NormalizedPrefix, preserving request order within and
-// across groups (first-appearance order).
-func groupByPrefix(configs []hetpnoc.Config) ([][]int, error) {
-	var groups [][]int
-	byKey := make(map[string]int)
-	for i, cfg := range configs {
-		prefix, err := json.Marshal(cfg.NormalizedPrefix())
-		if err != nil {
-			return nil, err
-		}
-		if gi, ok := byKey[string(prefix)]; ok {
-			groups[gi] = append(groups[gi], i)
-			continue
-		}
-		byKey[string(prefix)] = len(groups)
-		groups = append(groups, []int{i})
-	}
-	return groups, nil
-}
-
-// submitWithRetry retries ErrBusy with the server's backoff hint until
-// ctx gives up.
-func (s *Server) submitWithRetry(ctx context.Context, cfg hetpnoc.Config) (Outcome, error) {
-	for {
-		out, err := s.Submit(ctx, cfg)
-		if !errors.Is(err, ErrBusy) {
-			return out, err
-		}
-		t := time.NewTimer(s.cfg.RetryAfter)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return Outcome{}, ctx.Err()
-		case <-t.C:
-		}
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

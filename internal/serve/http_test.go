@@ -113,13 +113,12 @@ func TestHTTPSweepEndpoint(t *testing.T) {
 	}
 }
 
-// TestHTTPSweepBatched exercises the shared-prefix fast path: a sweep
-// whose points differ only in seed and load scale forms one batch
-// partition, so every executed point reports batched=true and must
-// still be byte-identical to the standalone /v1/run result for the
-// same config. A point already in the result cache is served from it
-// instead of re-entering the batch.
-func TestHTTPSweepBatched(t *testing.T) {
+// TestHTTPSweepThroughPool pins that every sweep point is an ordinary
+// pool job: a point already in the result cache is served from it, each
+// other point runs its own simulation and publishes it to the cache, and
+// every result is byte-identical to the standalone /v1/run result for
+// the same config.
+func TestHTTPSweepThroughPool(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 
 	// Prime the cache with one of the sweep's points.
@@ -131,6 +130,7 @@ func TestHTTPSweepBatched(t *testing.T) {
 	if err := json.Unmarshal(body, &primed); err != nil {
 		t.Fatal(err)
 	}
+	before := s.Metrics()
 
 	resp, body = postJSON(t, ts.URL+"/v1/sweep", `{
 		"base": {"cycles": 1200, "warmupCycles": 1000},
@@ -147,7 +147,7 @@ func TestHTTPSweepBatched(t *testing.T) {
 	if len(sr.Points) != 6 {
 		t.Fatalf("sweep returned %d points, want 6", len(sr.Points))
 	}
-	var batched, cached int
+	var simulated, cached int
 	for i, p := range sr.Points {
 		switch {
 		case p.Cached:
@@ -155,20 +155,23 @@ func TestHTTPSweepBatched(t *testing.T) {
 			if p.Key != primed.Key {
 				t.Errorf("point %d cached under key %s, primed key was %s", i, p.Key, primed.Key)
 			}
-		case p.Batched:
-			batched++
+		case p.Coalesced:
+			t.Errorf("point %d coalesced, but the sweep has no duplicate points", i)
 		default:
-			t.Errorf("point %d neither batched nor cached: %+v", i, p)
+			simulated++
 		}
 		if p.Result.PacketsDelivered == 0 {
 			t.Errorf("point %d delivered an empty result", i)
 		}
 	}
-	if cached != 1 || batched != 5 {
-		t.Fatalf("got %d cached and %d batched points, want 1 and 5", cached, batched)
+	if cached != 1 || simulated != 5 {
+		t.Fatalf("got %d cached and %d simulated points, want 1 and 5", cached, simulated)
+	}
+	if got := s.Metrics().Completed - before.Completed; got != 5 {
+		t.Errorf("sweep completed %d simulations, want 5", got)
 	}
 
-	// A batched point's result matches the standalone run byte for byte.
+	// A sweep point's result matches the standalone run byte for byte.
 	resp, body = postJSON(t, ts.URL+"/v1/run", `{"cycles":1200,"warmupCycles":1000,"seed":3,"loadScale":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solo status %d: %s", resp.StatusCode, body)
@@ -178,7 +181,7 @@ func TestHTTPSweepBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !solo.Cached {
-		t.Error("batched sweep did not publish its results to the cache")
+		t.Error("sweep did not publish its results to the cache")
 	}
 	for _, p := range sr.Points {
 		if p.Key != solo.Key {
@@ -193,12 +196,8 @@ func TestHTTPSweepBatched(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(a) != string(b) {
-			t.Errorf("batched point diverges from the standalone run:\nbatched: %s\nsolo:    %s", a, b)
+			t.Errorf("sweep point diverges from the standalone run:\nsweep: %s\nsolo:  %s", a, b)
 		}
-	}
-
-	if m := s.Metrics(); m.BatchedRuns != 5 {
-		t.Errorf("metrics report %d batched runs, want 5", m.BatchedRuns)
 	}
 }
 
@@ -255,5 +254,41 @@ func TestHTTPMethodRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("GET /v1/run should not succeed")
+	}
+}
+
+// TestHTTPSweepDuplicatePoints: seed 0 normalizes to seed 1, so the two
+// points share one content key and one simulation, and both carry the
+// same result bytes.
+func TestHTTPSweepDuplicatePoints(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", `{
+		"base": {"cycles": 1200, "warmupCycles": 1000},
+		"seeds": [0, 1]
+	}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var sr struct {
+		Points []struct {
+			Key    string          `json:"key"`
+			Result json.RawMessage `json:"result"`
+		} `json:"points"`
+	}
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Points) != 2 {
+		t.Fatalf("sweep returned %d points, want 2", len(sr.Points))
+	}
+	a, b := sr.Points[0], sr.Points[1]
+	if a.Key != b.Key {
+		t.Errorf("points have keys %s and %s, want one", a.Key, b.Key)
+	}
+	if string(a.Result) != string(b.Result) {
+		t.Errorf("duplicate points diverge:\n%s\n%s", a.Result, b.Result)
+	}
+	if m := s.Metrics(); m.Completed != 1 {
+		t.Errorf("duplicate points ran %d simulations, want 1", m.Completed)
 	}
 }

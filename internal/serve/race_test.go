@@ -289,3 +289,90 @@ func TestSoakSaturation429(t *testing.T) {
 	<-done1
 	<-done2
 }
+
+// TestSweepAdmission: sweep points pass the same admission point as
+// /v1/run. With one worker and a one-slot queue, concurrent multi-point
+// sweeps must overflow the queue into 429 + Retry-After, and the number
+// of simulations in flight must never exceed the worker count.
+func TestSweepAdmission(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		workers = 1
+		sweeps  = 6
+	)
+	s := New(Config{Workers: workers, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+
+	stop := make(chan struct{})
+	maxInFlight := make(chan int64, 1)
+	go func() {
+		var peak int64
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			peak = max(peak, s.Metrics().InFlight)
+			select {
+			case <-stop:
+				maxInFlight <- peak
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+
+	var (
+		wg       sync.WaitGroup
+		start    = make(chan struct{})
+		statuses = make([]int, sweeps)
+		retry    = make([]string, sweeps)
+	)
+	client := ts.Client()
+	for i := 0; i < sweeps; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"base": {"cycles": 4000, "warmupCycles": 1000}, "seeds": [%d, %d, %d]}`,
+				10*i+1, 10*i+2, 10*i+3)
+			<-start
+			resp, err := client.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("sweep %d: %v", i, err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses[i], retry[i] = resp.StatusCode, resp.Header.Get("Retry-After")
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	close(stop)
+	peak := <-maxInFlight
+
+	rejected := 0
+	for i, status := range statuses {
+		switch status {
+		case http.StatusOK:
+		case http.StatusTooManyRequests:
+			rejected++
+			if retry[i] == "" {
+				t.Errorf("sweep %d: 429 without Retry-After", i)
+			}
+		default:
+			t.Errorf("sweep %d: status %d", i, status)
+		}
+	}
+	if rejected == 0 {
+		t.Errorf("%d concurrent sweeps on %d worker and a 1-slot queue drew no 429: %v", sweeps, workers, statuses)
+	}
+	if peak > workers {
+		t.Errorf("observed %d simulations in flight, want at most %d", peak, workers)
+	}
+
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}

@@ -113,8 +113,6 @@ type flight struct {
 // the server.
 //
 //hetpnoc:lockorder Server.mu Cache.mu cache Get/Put may run under the server lock, never the reverse
-//hetpnoc:lockorder Server.mu scheduler.mu the batch scheduler locks only inside plan.Run, entered with no server lock held
-//hetpnoc:lockorder Cache.mu scheduler.mu cache calls complete before a sweep batch runs; the scheduler never calls back into serve
 type Server struct {
 	cfg   Config
 	cache *cache.Cache
@@ -136,8 +134,8 @@ type Server struct {
 	failed          atomic.Int64
 	rejected        atomic.Int64
 	coalesced       atomic.Int64
-	batched         atomic.Int64
 	cyclesSimulated atomic.Int64
+	runNanos        atomic.Int64 // summed wall time of completed runs
 }
 
 // New starts a server: cfg.Workers goroutines consuming the admission
@@ -173,9 +171,8 @@ type Outcome struct {
 	// Coalesced reports the request joined an identical in-flight
 	// simulation instead of starting its own.
 	Coalesced bool
-	// Batched reports the simulation ran inside a shared-prefix batch
-	// (SubmitBatch): it forked off a fabric built once for the whole
-	// group instead of paying its own build.
+	// Deprecated: Batched is never set. SubmitBatch runs every point
+	// through Submit, which reports Cached or Coalesced instead.
 	Batched bool
 }
 
@@ -215,92 +212,43 @@ func (s *Server) Submit(ctx context.Context, cfg hetpnoc.Config) (Outcome, error
 	}
 }
 
-// SubmitBatch executes a set of configs sharing a batch prefix (equal
-// Config.NormalizedPrefix — the sweep handler groups by it) in one
-// batched pass: cache hits are served directly, duplicates within the
-// batch coalesce onto one run, and the remaining misses go through
-// hetpnoc.RunBatchContext, which builds the shared fabric once and
-// forks every member off a pristine checkpoint. Each result is
-// byte-identical to Submit's for the same config and is published to
-// the cache. The batch runs on the calling goroutine — the sweep
-// handler provides the pool bounding — under the server's job timeout
-// and lifetime, canceled when either ctx or the server gives up.
+// SubmitBatch runs every config through Submit and returns the outcomes
+// in config order. Each point therefore gets Submit's validation, cache,
+// coalescing, bounded queue and cancellation. At most Workers points are
+// outstanding at a time, so a lone batch spreads over the pool but never
+// overflows a queue at least Workers deep (the default is 2×). The
+// first error (ErrBusy included) cancels the batch: its queued points
+// unsubscribe, no further points are submitted, and the error is
+// returned. Points that already finished stay cached, so a retry is
+// cheap.
 func (s *Server) SubmitBatch(ctx context.Context, cfgs []hetpnoc.Config) ([]Outcome, error) {
-	if s.Draining() {
-		return nil, ErrDraining
-	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	outs := make([]Outcome, len(cfgs))
-	// first maps a content key to the index of the first miss carrying
-	// it: later duplicates coalesce onto that run instead of re-entering
-	// the batch.
-	first := make(map[cache.Key]int)
-	var misses []int
+	slots := make(chan struct{}, s.cfg.Workers)
+	var wg sync.WaitGroup
 	for i, cfg := range cfgs {
-		cfg = cfg.Normalized()
-		if err := cfg.Validate(); err != nil {
-			return nil, err
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
 		}
-		if s.cfg.MaxCycles > 0 && cfg.Cycles > s.cfg.MaxCycles {
-			return nil, fmt.Errorf("serve: %d cycles exceeds the per-request limit of %d", cfg.Cycles, s.cfg.MaxCycles)
+		if ctx.Err() != nil {
+			break
 		}
-		canonical, err := cfg.CanonicalJSON()
-		if err != nil {
-			return nil, err
-		}
-		key := cache.KeyOf(canonical)
-		outs[i] = Outcome{Key: key}
-		cfgs[i] = cfg
-		if res, ok := s.cache.Get(key); ok {
-			outs[i].Result, outs[i].Cached = res, true
-			continue
-		}
-		if _, dup := first[key]; dup {
-			outs[i].Coalesced, outs[i].Batched = true, true
-			continue
-		}
-		first[key] = i
-		misses = append(misses, i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			out, err := s.Submit(ctx, cfg)
+			if err != nil {
+				cancel(err)
+			}
+			outs[i] = out
+		}()
 	}
-	if len(misses) == 0 {
-		return outs, nil
-	}
-
-	jobCtx, cancel := s.jobContext()
-	defer cancel()
-	stop := context.AfterFunc(ctx, cancel)
-	defer stop()
-
-	run := make([]hetpnoc.Config, len(misses))
-	for mi, i := range misses {
-		run[mi] = cfgs[i]
-	}
-	s.inFlight.Add(1)
-	results, err := hetpnoc.RunBatchContext(jobCtx, run)
-	s.inFlight.Add(-1)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			s.canceled.Add(1)
-			return nil, ctxErr
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.canceled.Add(1)
-			return nil, err
-		}
-		s.failed.Add(1)
-		return nil, fmt.Errorf("%w: %v", ErrSimulation, err)
-	}
-	for mi, i := range misses {
-		s.cache.Put(outs[i].Key, results[mi])
-		s.completed.Add(1)
-		s.batched.Add(1)
-		s.cyclesSimulated.Add(int64(cfgs[i].Cycles))
-		outs[i].Result, outs[i].Batched = results[mi], true
-	}
-	// Duplicates read their result through the first carrier of the key.
-	for i := range outs {
-		if outs[i].Coalesced {
-			outs[i].Result = outs[first[outs[i].Key]].Result
-		}
+	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
 	}
 	return outs, nil
 }
@@ -373,7 +321,9 @@ func (s *Server) runFlight(fl *flight) {
 		return
 	}
 	s.inFlight.Add(1)
+	start := time.Now()
 	res, err := hetpnoc.RunContext(fl.ctx, fl.cfg)
+	elapsed := time.Since(start)
 	s.inFlight.Add(-1)
 	fl.res, fl.err = res, err
 	switch {
@@ -381,6 +331,7 @@ func (s *Server) runFlight(fl *flight) {
 		s.cache.Put(fl.key, res)
 		s.completed.Add(1)
 		s.cyclesSimulated.Add(int64(fl.cfg.Cycles))
+		s.runNanos.Add(int64(elapsed))
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.canceled.Add(1)
 	default:
@@ -454,8 +405,8 @@ type Metrics struct {
 	Failed    int64 `json:"failed"`
 	Rejected  int64 `json:"rejected"`
 	Coalesced int64 `json:"coalesced"`
-	// BatchedRuns counts simulations executed through the shared-prefix
-	// batch path instead of as standalone pool jobs.
+	// Deprecated: BatchedRuns is always 0. Sweep points run as ordinary
+	// pool jobs and are counted in Completed.
 	BatchedRuns int64 `json:"batchedRuns"`
 
 	CacheEntries  int     `json:"cacheEntries"`
@@ -464,7 +415,9 @@ type Metrics struct {
 	CacheMisses   int64   `json:"cacheMisses"`
 	CacheHitRate  float64 `json:"cacheHitRate"`
 
-	CyclesSimulated int64   `json:"cyclesSimulated"`
+	CyclesSimulated int64 `json:"cyclesSimulated"`
+	// CyclesPerSecond is the simulation rate of one worker:
+	// CyclesSimulated over the summed wall time of the completed runs.
 	CyclesPerSecond float64 `json:"cyclesPerSecond"`
 	UptimeSeconds   float64 `json:"uptimeSeconds"`
 }
@@ -483,7 +436,6 @@ func (s *Server) Metrics() Metrics {
 		Failed:          s.failed.Load(),
 		Rejected:        s.rejected.Load(),
 		Coalesced:       s.coalesced.Load(),
-		BatchedRuns:     s.batched.Load(),
 		CacheEntries:    cs.Entries,
 		CacheCapacity:   cs.Capacity,
 		CacheHits:       cs.Hits,
@@ -492,8 +444,8 @@ func (s *Server) Metrics() Metrics {
 		CyclesSimulated: s.cyclesSimulated.Load(),
 		UptimeSeconds:   uptime,
 	}
-	if uptime > 0 {
-		m.CyclesPerSecond = float64(m.CyclesSimulated) / uptime
+	if run := time.Duration(s.runNanos.Load()).Seconds(); run > 0 {
+		m.CyclesPerSecond = float64(m.CyclesSimulated) / run
 	}
 	return m
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hetpnoc"
+	"hetpnoc/internal/testutil/leakcheck"
 )
 
 // smallCfg is a ~10ms simulation (1200 cycles, 1000 warm-up); seed
@@ -266,4 +267,46 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 	// Close is idempotent.
 	closeServer(t, s)
+}
+
+// TestSubmitBatchCancel: canceling the batch's context mid-run returns
+// ctx.Err(), cancels the running point and leaks no goroutine.
+func TestSubmitBatchCancel(t *testing.T) {
+	leakcheck.Check(t)
+	s := New(Config{Workers: 1})
+	defer closeServer(t, s)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.SubmitBatch(ctx, []hetpnoc.Config{bigCfg(110), bigCfg(111), bigCfg(112)})
+		done <- err
+	}()
+	waitFor(t, "first point in flight", func() bool { return s.Metrics().InFlight == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled batch returned %v, want context.Canceled", err)
+	}
+	waitFor(t, "run canceled", func() bool { return s.Metrics().Canceled >= 1 })
+	if m := s.Metrics(); m.Completed != 0 {
+		t.Fatalf("canceled batch completed %d runs", m.Completed)
+	}
+}
+
+// TestMetricsCyclesPerSecond: the rate is taken over the time spent
+// simulating, not over uptime, so idling before a run cannot dilute it.
+func TestMetricsCyclesPerSecond(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer closeServer(t, s)
+	time.Sleep(300 * time.Millisecond)
+
+	cfg := smallCfg(120)
+	start := time.Now()
+	if _, err := s.Submit(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	floor := float64(cfg.Cycles) / time.Since(start).Seconds()
+	if m := s.Metrics(); m.CyclesPerSecond < floor {
+		t.Fatalf("cyclesPerSecond = %.0f, want at least %.0f (%d cycles in one Submit)", m.CyclesPerSecond, floor, cfg.Cycles)
+	}
 }
