@@ -224,6 +224,12 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return resultOf(f, res), nil
+}
+
+// resultOf converts a finished fabric's result to the public form,
+// including its protocol event log when one was enabled.
+func resultOf(f *fabric.Fabric, res fabric.Result) Result {
 	out := fromFabricResult(res)
 	if log := f.Events(); log != nil {
 		events := log.Events()
@@ -232,7 +238,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			out.Events[i] = e.String()
 		}
 	}
-	return out, nil
+	return out
 }
 
 // toFabricConfig lowers the public configuration onto the internal fabric.

@@ -1,7 +1,10 @@
 package hetpnoc
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -155,6 +158,50 @@ func TestRunWithTraceValidation(t *testing.T) {
 	if _, err := RunWithTrace(Config{Cycles: 100, WarmupCycles: 10},
 		[]TrafficRemap{{AtCycle: 50, Traffic: SkewedTraffic(9)}}, 10, nil); err == nil {
 		t.Fatal("bad remap traffic accepted")
+	}
+}
+
+// TestRunWithTraceMatchesRunContext: without remaps a traced run is the
+// same simulation as RunContext, so its result — event log included —
+// must be identical, whatever the observation interval.
+func TestRunWithTraceMatchesRunContext(t *testing.T) {
+	cfg := Config{Traffic: SkewedTraffic(2), Cycles: 3000, WarmupCycles: 300, Seed: 4, EventCapacity: 64}
+	want, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Events) == 0 {
+		t.Fatal("event log empty; the comparison would not cover it")
+	}
+	for _, interval := range []int64{1, 700, 1 << 40} {
+		got, err := RunWithTrace(cfg, nil, interval, func(Snapshot) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("interval %d: traced result differs from RunContext\ngot  %+v\nwant %+v", interval, got, want)
+		}
+	}
+}
+
+// TestRunWithTraceContextCancel: canceling from the observer stops the
+// run at once with context.Canceled and no further snapshots.
+func TestRunWithTraceContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cycles []int64
+	_, err := RunWithTraceContext(ctx, Config{Cycles: 1_000_000, WarmupCycles: 100, Seed: 1}, nil, 500,
+		func(s Snapshot) {
+			cycles = append(cycles, s.Cycle)
+			if len(cycles) == 2 {
+				cancel()
+			}
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if want := []int64{500, 1000}; !reflect.DeepEqual(cycles, want) {
+		t.Fatalf("observed cycles %v, want %v", cycles, want)
 	}
 }
 

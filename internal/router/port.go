@@ -153,6 +153,17 @@ func (p *Port) Owner(i int) packet.ID {
 	return p.a.owner[p.a.vcBase[p.id]+int32(i)]
 }
 
+// exhausted reports whether every VC of the port is claimed, so AllocVC
+// would fail.
+func (p *Port) exhausted() bool {
+	freeMask := p.a.freeMask
+	id := int(p.id)
+	if uint(id) >= uint(len(freeMask)) {
+		return false // unreachable: ids are assigned by Reserve; the guard anchors BCE
+	}
+	return freeMask[id] == 0
+}
+
 // FreeVCs returns how many VCs are currently unclaimed.
 func (p *Port) FreeVCs() int {
 	return bits.OnesCount64(p.a.freeMask[p.id])
@@ -324,10 +335,14 @@ func (p *Port) Pop(i int) (packet.Flit, error) {
 		}
 	}
 	if f.Type.IsTail() {
-		if d := h.dstOut; d >= 0 {
-			if r := a.consumer[p.id]; r != nil {
-				idx := int(a.consBase[p.id]) + i
-				r.liveMask[int(d)*r.maskWords+(idx>>6)] &^= 1 << (uint(idx) & 63)
+		// The packet's path through the consuming router ends here: drop
+		// it from the router's routed set and contender mask.
+		if r := a.consumer[p.id]; r != nil {
+			idx := int(a.consBase[p.id]) + i
+			bit := uint64(1) << (uint(idx) & 63)
+			r.routed[idx>>6] &^= bit
+			if d := h.dstOut; d >= 0 {
+				r.liveMask[int(d)*r.maskWords+(idx>>6)] &^= bit
 			}
 		}
 		a.owner[g] = 0
@@ -353,31 +368,4 @@ func (p *Port) BufferedFlits() int {
 		return 0 // unreachable: ids are assigned by Reserve; the guard anchors BCE
 	}
 	return int(buffered[id])
-}
-
-// ReleaseOwner force-frees VC i. The receive engine uses it when a packet
-// is dropped mid-window and its partial contents discarded.
-func (p *Port) ReleaseOwner(i int) {
-	a := p.a
-	g := a.vcBase[p.id] + int32(i)
-	h := &a.hot[g]
-	n := int32(h.count)
-	// Discarded slots stay in place (see Pop); resetting head with
-	// count 0 leaves no live entries.
-	a.head[g] = 0
-	*a.occupancy -= int64(n)
-	a.buffered[p.id] -= n
-	a.occMask[p.id] &^= 1 << uint(i)
-	a.freeMask[p.id] |= 1 << uint(i)
-	a.owner[g] = 0
-	if d := h.dstOut; d >= 0 {
-		if r := a.consumer[p.id]; r != nil {
-			idx := int(a.consBase[p.id]) + i
-			r.liveMask[int(d)*r.maskWords+(idx>>6)] &^= 1 << (uint(idx) & 63)
-		}
-	}
-	*h = vcHot{dstOut: -1}
-	for _, w := range a.watchers[p.id] {
-		w.quiet = false
-	}
 }

@@ -20,15 +20,17 @@ type RouteFunc func(f packet.Flit) int
 
 // Output is one router output: the downstream input port it feeds, the
 // number of flits it can transfer per cycle (its datapath width), and its
-// round-robin arbitration state.
+// round-robin arbitration state. The downstream port view is held by
+// value, so its arena and port id sit in the Output itself and the
+// per-output free-VC test in Tick dereferences no Port object.
 type Output struct {
-	dst   *Port
+	dst   Port
 	width int
 	rr    int
 }
 
 // Dst returns the downstream port this output feeds.
-func (o *Output) Dst() *Port { return o.dst }
+func (o *Output) Dst() *Port { return &o.dst }
 
 // MaxOutputs bounds a router's output count so the set of outputs with
 // contenders fits one bitmask word.
@@ -81,9 +83,9 @@ type Router struct {
 	// input carries a route table (tabled): bit set while an input VC is
 	// owned by a packet routed to that output. Because a packet's route is
 	// fixed from header enqueue to tail pop, the masks change only on
-	// those ownership transitions (maintained by Port.Enqueue/Pop/
-	// ReleaseOwner through the arena's consumer registry), and Tick seeds
-	// its scratch with one copy instead of re-walking every buffered VC.
+	// those ownership transitions (maintained by Port.Enqueue/Pop through
+	// the arena's consumer registry), and Tick seeds its scratch with one
+	// copy instead of re-walking every buffered VC.
 	liveMask []uint64
 	tabled   bool
 	// liveAny is a lazy per-output summary of liveMask: bit o is set
@@ -91,6 +93,14 @@ type Router struct {
 	// it eagerly; Tick clears it when a copy finds the output's words all
 	// zero, so idle outputs cost nothing per cycle.
 	liveAny uint64
+
+	// routed is the persistent set of candidates whose VC has a locked
+	// downstream path (vcRouted), one bit per flat candidate index: set
+	// by Tick when it grants a header, cleared by Port.Pop when the tail
+	// departs, rebuilt by rebuildLive after a Restore. Tick ANDs an
+	// output's contenders with it while the downstream port has no free
+	// VC, so blocked headers are not re-arbitrated every cycle.
+	routed []uint64
 
 	// Quiescence: a Tick that grants nothing is a pure function — it
 	// changes no round-robin cursor, charges no energy and moves no flit —
@@ -100,7 +110,7 @@ type Router struct {
 	// before then return immediately. Every event that can change the
 	// outcome clears the flag: a flit arriving at an input (Port.Enqueue
 	// via the consumer registry), a downstream port draining or freeing a
-	// VC (Port.Pop/ReleaseOwner via the watcher registry), and aging
+	// VC (Port.Pop via the watcher registry), and aging
 	// (wakeAt). Blocked routers in a congested fabric thus cost two loads
 	// per cycle instead of a full scan-and-kill pass.
 	quiet  bool
@@ -155,6 +165,7 @@ func New(name string, inputs []*Port, inWidths []int, route RouteFunc, ledger *p
 		}
 	}
 	r.maskWords = (total + 63) / 64
+	r.routed = make([]uint64, r.maskWords)
 	r.budget = make([]int32, len(inputs))
 	return r, nil
 }
@@ -195,7 +206,7 @@ func (r *Router) AddOutput(dst *Port, width int, chargeLink bool) (int, error) {
 	if len(r.outputs) >= MaxOutputs {
 		return 0, fmt.Errorf("router %s: output count exceeds bitmask capacity %d", r.name, MaxOutputs)
 	}
-	r.outputs = append(r.outputs, &Output{dst: dst, width: width})
+	r.outputs = append(r.outputs, &Output{dst: *dst, width: width})
 	r.chargeLink = append(r.chargeLink, chargeLink)
 	r.outMask = append(r.outMask, make([]uint64, r.maskWords)...)
 	r.liveMask = append(r.liveMask, make([]uint64, r.maskWords)...)
@@ -223,6 +234,15 @@ func (r *Router) Outputs() int { return len(r.outputs) }
 // pre-binned into per-output masks by their cached route (visits of
 // candidates targeting another output have no side effects in the
 // reference), so each output only walks its own contenders.
+//
+// While an output's downstream port has no free VC, only candidates with
+// a locked path (r.routed) can move through it: the reference visit of
+// any other candidate either rejects it outright or fails AllocVC, both
+// without side effects, and no downstream VC is freed while this router
+// ticks. Such outputs drop their unrouted contenders before the scan, and
+// a grant that claims the last free VC drops them mid-scan. A filtered
+// young header does not lower wakeAt: it can only become grantable once
+// a downstream Pop frees a VC, and that Pop wakes the router itself.
 //
 //hetpnoc:hotpath
 func (r *Router) Tick(now sim.Cycle) error {
@@ -298,6 +318,7 @@ func (r *Router) Tick(now sim.Cycle) error {
 	inputs := r.inputs
 	outputs := r.outputs
 	chargeLink := r.chargeLink
+	routed := r.routed
 	for ne := nonEmpty; ne != 0; ne &= ne - 1 {
 		o := bits.TrailingZeros64(ne)
 		if uint(o) >= uint(len(outputs)) || uint(o) >= uint(len(chargeLink)) {
@@ -310,6 +331,9 @@ func (r *Router) Tick(now sim.Cycle) error {
 			continue
 		}
 		mask := outMask[base:end]
+		if out.dst.exhausted() && !keepRouted(mask, routed) {
+			continue // every contender waits for a downstream VC
+		}
 		granted := 0
 		// The reference scan evaluates position (out.rr + scan) mod
 		// candidates for scan = 0..candidates-1, reading out.rr live — a
@@ -348,7 +372,8 @@ func (r *Router) Tick(now sim.Cycle) error {
 				break
 			}
 			wi := idx >> 6
-			if uint(idx) >= uint(len(cand)) || uint(wi) >= uint(len(mask)) {
+			if uint(idx) >= uint(len(cand)) || uint(wi) >= uint(len(mask)) ||
+				uint(wi) >= uint(len(routed)) {
 				continue
 			}
 			bit := uint64(1) << (uint(idx) & 63)
@@ -395,13 +420,21 @@ func (r *Router) Tick(now sim.Cycle) error {
 				}
 				dstVC, ok := out.dst.AllocVC(owner[g])
 				if !ok {
-					// No free downstream VC; the packet retries next cycle.
+					// Unreachable while the exhausted-output filter holds:
+					// an unrouted header only gets here with a VC free.
+					// Rejecting it matches the reference all the same.
 					mask[wi] &^= bit
 					continue
 				}
 				h.flags |= vcRouted
 				h.outPort = int16(o)
 				h.outVC = int8(dstVC)
+				routed[wi] |= bit
+				if out.dst.exhausted() {
+					// That was the last free VC: every other unrouted
+					// contender of this output is now dead this cycle.
+					keepRouted(mask, routed)
+				}
 			} else if h.flags&vcRouted == 0 || int(h.outPort) != o {
 				mask[wi] &^= bit
 				continue
@@ -517,11 +550,28 @@ func (r *Router) buildScratch(now sim.Cycle) uint64 {
 	return nonEmpty
 }
 
-// rebuildLive recomputes the persistent contender masks from the arena's
-// ownership state, after a Restore rewrote it wholesale.
+// keepRouted clears from an output's contender mask every candidate
+// without a locked downstream path and reports whether any remain.
+func keepRouted(mask, routed []uint64) bool {
+	var left uint64
+	for j := range mask {
+		if uint(j) >= uint(len(routed)) {
+			break // unreachable: both masks span the router's candidates
+		}
+		mask[j] &= routed[j]
+		left |= mask[j]
+	}
+	return left != 0
+}
+
+// rebuildLive recomputes the persistent contender and routed masks from
+// the arena's ownership state, after a Restore rewrote it wholesale.
 func (r *Router) rebuildLive() {
 	for i := range r.liveMask {
 		r.liveMask[i] = 0
+	}
+	for i := range r.routed {
+		r.routed[i] = 0
 	}
 	r.liveAny = 0
 	r.quiet = false
@@ -536,6 +586,11 @@ func (r *Router) rebuildLive() {
 				continue
 			}
 			h := &a.hot[g]
+			idx := base + v
+			bit := uint64(1) << (uint(idx) & 63)
+			if h.flags&vcRouted != 0 {
+				r.routed[idx>>6] |= bit
+			}
 			d := int(h.dstOut)
 			if d < 0 {
 				if h.flags&vcRouted == 0 {
@@ -543,8 +598,7 @@ func (r *Router) rebuildLive() {
 				}
 				d = int(h.outPort)
 			}
-			idx := base + v
-			r.liveMask[d*nw+(idx>>6)] |= 1 << (uint(idx) & 63)
+			r.liveMask[d*nw+(idx>>6)] |= bit
 			r.liveAny |= 1 << uint(d)
 		}
 	}

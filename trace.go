@@ -1,6 +1,7 @@
 package hetpnoc
 
 import (
+	"context"
 	"fmt"
 
 	"hetpnoc/internal/fabric"
@@ -35,7 +36,18 @@ type TrafficRemap struct {
 // RunWithTrace simulates cfg like Run, optionally applying remaps, and
 // invokes observe with a snapshot every interval cycles. Use it to watch
 // the dynamic bandwidth allocation converge and react to task changes.
+//
+//hetpnoc:ctxroot synchronous public entry point, wraps RunWithTraceContext
 func RunWithTrace(cfg Config, remaps []TrafficRemap, interval int64, observe func(Snapshot)) (Result, error) {
+	return RunWithTraceContext(context.Background(), cfg, remaps, interval, observe)
+}
+
+// RunWithTraceContext is RunWithTrace honoring cancellation as RunContext
+// does: it steps the fabric in chunks that end on every interval
+// boundary, polls ctx within each chunk, and aborts with ctx.Err() when
+// it fires. Snapshots and the result of a run that completes are
+// identical to RunWithTrace's.
+func RunWithTraceContext(ctx context.Context, cfg Config, remaps []TrafficRemap, interval int64, observe func(Snapshot)) (Result, error) {
 	if interval <= 0 {
 		return Result{}, fmt.Errorf("hetpnoc: trace interval must be positive, got %d", interval)
 	}
@@ -56,10 +68,12 @@ func RunWithTrace(cfg Config, remaps []TrafficRemap, interval int64, observe fun
 		return Result{}, err
 	}
 	fc = fc.WithDefaults()
-	for i := 0; i < fc.Cycles; i++ {
-		if err := f.Step(); err != nil {
+	for left := int64(fc.Cycles); left > 0; {
+		chunk := min(interval-int64(f.Now())%interval, left)
+		if err := f.StepContext(ctx, int(chunk)); err != nil {
 			return Result{}, err
 		}
+		left -= chunk
 		if observe != nil && int64(f.Now())%interval == 0 {
 			observe(snapshotOf(f, fc.Topology))
 		}
@@ -68,7 +82,7 @@ func RunWithTrace(cfg Config, remaps []TrafficRemap, interval int64, observe fun
 	if err != nil {
 		return Result{}, err
 	}
-	return fromFabricResult(res), nil
+	return resultOf(f, res), nil
 }
 
 // snapshotOf captures the observable state of a running fabric.
