@@ -27,13 +27,13 @@ vet:
 	$(GO) vet ./...
 
 # hetpnoclint enforces the simulator's determinism, hot-path,
-# concurrency-safety and API-stability invariants: the per-package
-# analyzers (detrand, maprange, hotpathalloc, globalstate, lockguard,
-# ctxflow, errsink), the whole-program layer (hotpathreach, dettaint,
-# lockorder), the compiler-evidence layer (allocproof, snapcover), the
-# value-flow layer (unitsafe, seedflow), the concurrency-protocol
-# layer (goleak, chanown, wgsync) and apistable; any undirected
-# violation exits non-zero. See docs/ANALYSIS.md.
+# concurrency-safety and API-stability invariants with fourteen
+# analyzers: the per-package analyzers (globalstate, ctxflow, errsink),
+# the whole-program layer (hotpathreach, dettaint, lockguard), the
+# compiler-evidence layer (allocproof, snapcover), the value-flow layer
+# (unitsafe, seedflow), the concurrency-protocol layer (goleak, chanown,
+# wgsync) and apistable; any undirected violation exits non-zero. See
+# docs/ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/hetpnoclint ./...
 

@@ -20,12 +20,14 @@
 // analyzers for fast local iteration; skipping allocproof also skips
 // its compiler-evidence build.
 //
-// The suite loads and type-checks the module once; per-package
-// analyzers then run over each package, and the whole-program analyzers
-// (hotpathreach, allocproof, snapcover, dettaint, lockorder, unitsafe,
-// seedflow, goleak, chanown, wgsync) run once over all packages,
-// sharing a single memoized call graph, hot-path BFS, value-flow layer
-// and concurrency-protocol layer (internal/analysis/conc). allocproof additionally shells out one evidence build
+// The suite loads and type-checks the module once; the per-package
+// analyzers (globalstate, ctxflow, errsink, apistable) then run over
+// each package, and the whole-program analyzers (hotpathreach,
+// allocproof, snapcover, dettaint, lockguard, unitsafe, seedflow,
+// goleak, chanown, wgsync) run once over all packages, sharing a single
+// memoized call graph, hot-path BFS, value-flow layer and
+// concurrency-protocol layer (internal/analysis/conc). allocproof
+// additionally shells out one evidence build
 // (go build -gcflags='-m=2 -d=ssa/check_bce'); -gcobsout writes its
 // parsed escape/bounds-check report as JSON for the CI artifact.
 //
@@ -49,19 +51,15 @@ import (
 	"hetpnoc/internal/analysis/apistable"
 	"hetpnoc/internal/analysis/chanown"
 	"hetpnoc/internal/analysis/ctxflow"
-	"hetpnoc/internal/analysis/detrand"
 	"hetpnoc/internal/analysis/dettaint"
 	"hetpnoc/internal/analysis/errsink"
 	"hetpnoc/internal/analysis/fix"
 	"hetpnoc/internal/analysis/gcobs"
 	"hetpnoc/internal/analysis/globalstate"
 	"hetpnoc/internal/analysis/goleak"
-	"hetpnoc/internal/analysis/hotpathalloc"
 	"hetpnoc/internal/analysis/hotpathreach"
 	"hetpnoc/internal/analysis/load"
 	"hetpnoc/internal/analysis/lockguard"
-	"hetpnoc/internal/analysis/lockorder"
-	"hetpnoc/internal/analysis/maprange"
 	"hetpnoc/internal/analysis/seedflow"
 	"hetpnoc/internal/analysis/snapcover"
 	"hetpnoc/internal/analysis/unitsafe"
@@ -72,18 +70,14 @@ import (
 // per-package analyzers first, then the whole-program layer, with
 // apistable last (it only gates exported API goldens).
 var analyzers = []*analysis.Analyzer{
-	detrand.Analyzer,
-	maprange.Analyzer,
-	hotpathalloc.Analyzer,
 	globalstate.Analyzer,
-	lockguard.Analyzer,
 	ctxflow.Analyzer,
 	errsink.Analyzer,
 	hotpathreach.Analyzer,
 	allocproof.Analyzer,
 	snapcover.Analyzer,
 	dettaint.Analyzer,
-	lockorder.Analyzer,
+	lockguard.Analyzer,
 	unitsafe.Analyzer,
 	seedflow.Analyzer,
 	goleak.Analyzer,
@@ -114,11 +108,7 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 			}
 		}
 		if !known {
-			names := make([]string, len(analyzers))
-			for i, a := range analyzers {
-				names[i] = a.Name
-			}
-			return nil, fmt.Errorf("-only: unknown analyzer %q (available: %s)", name, strings.Join(names, ", "))
+			return nil, fmt.Errorf("-only: unknown analyzer %q (available: %s)", name, analyzerNames())
 		}
 		wanted[name] = true
 	}
@@ -132,6 +122,15 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 		}
 	}
 	return out, nil
+}
+
+// analyzerNames lists the suite in order, for -only's help and errors.
+func analyzerNames() string {
+	names := make([]string, len(analyzers))
+	for i, a := range analyzers {
+		names[i] = a.Name
+	}
+	return strings.Join(names, ", ")
 }
 
 // timings collects -timing instrumentation: one load, then wall time
@@ -163,7 +162,7 @@ func main() {
 	dry := flag.Bool("dry", false, "with -fix: report what would change without writing files")
 	update := flag.Bool("update", false, "regenerate apistable API golden snapshots")
 	timing := flag.Bool("timing", false, "print load time and per-analyzer wall time to stderr")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: the full suite)")
+	only := flag.String("only", "", "comma-separated analyzer names to run (default: the full suite of "+analyzerNames()+")")
 	flag.StringVar(&gcobsOut, "gcobsout", "", "write allocproof's parsed compiler-evidence report (JSON) to this file")
 	flag.Parse()
 

@@ -1,10 +1,10 @@
 // Package callgraph builds a whole-program call graph over the
 // module's type-checked packages, the substrate for the interprocedural
-// hetpnoclint analyzers (hotpathreach, dettaint, lockorder). The loader
-// type-checks every module package into one FileSet with shared object
-// identity, so a *types.Func is the same pointer whether reached from
-// its defining package or through an importer — nodes key on it
-// directly.
+// hetpnoclint analyzers (hotpathreach, dettaint, lockguard) and the
+// conc layer's callee resolution. The loader type-checks every module
+// package into one FileSet with shared object identity, so a
+// *types.Func is the same pointer whether reached from its defining
+// package or through an importer — nodes key on it directly.
 //
 // Resolution rules, in decreasing precision:
 //
@@ -233,7 +233,7 @@ func (b *builder) edges(n *Node) {
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
 		switch nd := nd.(type) {
 		case *ast.CallExpr:
-			switch fun := unparen(nd.Fun).(type) {
+			switch fun := ast.Unparen(nd.Fun).(type) {
 			case *ast.Ident:
 				consumed[fun] = true
 			case *ast.SelectorExpr:
@@ -259,7 +259,7 @@ func (b *builder) edges(n *Node) {
 
 // call resolves one call expression.
 func (b *builder) call(n *Node, info *types.Info, call *ast.CallExpr) {
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 
 	// Conversions and builtin calls are not function calls.
 	if tv, ok := info.Types[fun]; ok && tv.IsType() {
@@ -374,14 +374,4 @@ func (b *builder) addRef(n *Node, site ast.Node, obj *types.Func) {
 		return
 	}
 	n.External = append(n.External, ExternalCall{Func: obj, Pos: site.Pos()})
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

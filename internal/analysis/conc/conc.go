@@ -3,13 +3,17 @@
 // WaitGroup-balance (wgsync) analyzers share. It is built over the
 // same three substrates as the rest of the suite: the cfg package for
 // path questions, the value-flow layer (vflow) for canonicalizing the
-// variables that name channels and WaitGroups, and the CHA call graph
-// for following a spawn into its callees.
+// variables that name channels and WaitGroups, and the call graph
+// (callgraph) for resolving a spawn or a call to its declared callee.
+// Every callee the layer names is the target of one of callgraph's
+// static edges; interface calls and calls through function values
+// resolve to nothing.
 //
-// For every declared function the layer records:
+// For every declared function (one per call-graph node) the layer
+// records:
 //
 //   - Spawn sites: each go statement, with the spawned function
-//     literal or the statically-resolved declared callee. Spawns
+//     literal or the statically-resolved module callee. Spawns
 //     through function-typed values resolve to nothing and consumers
 //     treat them as open (the same soundness stance callgraph takes
 //     for unknown call sites).
@@ -47,6 +51,7 @@ import (
 	"sort"
 
 	"hetpnoc/internal/analysis"
+	"hetpnoc/internal/analysis/callgraph"
 	"hetpnoc/internal/analysis/cfg"
 	"hetpnoc/internal/analysis/vflow"
 )
@@ -136,16 +141,17 @@ type Spawn struct {
 	// declared function or unresolved.
 	Lit *ast.FuncLit
 
-	// Callee is the statically-resolved spawned declared function, nil
-	// for literals and for spawns through function-typed values.
-	Callee *types.Func
+	// Callee is the spawned module function, resolved through the call
+	// graph's static edge at the go statement. It is nil for literals,
+	// out-of-module callees and spawns through function-typed values.
+	Callee *FuncInfo
 }
 
-// FuncInfo is the concurrency summary of one declared function.
+// FuncInfo is the concurrency summary of one declared function: its
+// call-graph node (object, declaration, unit, rendered name) plus the
+// concurrency facts of its body.
 type FuncInfo struct {
-	Obj  *types.Func
-	Decl *ast.FuncDecl
-	Unit *analysis.PackageUnit
+	*callgraph.Node
 
 	// Spawns, WGOps and ChanOps are in source order and cover the whole
 	// body, function literals included.
@@ -177,30 +183,16 @@ func (fi *FuncInfo) IsParam(v *types.Var) bool { return fi.params[v] }
 // methods ("type <pkg>.<T>"), the function itself otherwise
 // ("func <pkg>.<name>"). chanown compares send and close owners.
 func (fi *FuncInfo) Owner() string {
-	if sig, ok := fi.Obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+	if sig, ok := fi.Func.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if named := baseNamed(sig.Recv().Type()); named != nil {
 			return "type " + named.Obj().Pkg().Name() + "." + named.Obj().Name()
 		}
 	}
 	pkg := ""
-	if fi.Obj.Pkg() != nil {
-		pkg = fi.Obj.Pkg().Name() + "."
+	if fi.Func.Pkg() != nil {
+		pkg = fi.Func.Pkg().Name() + "."
 	}
-	return "func " + pkg + fi.Obj.Name()
-}
-
-// Name renders the function for diagnostics ("pkg.Type.Method").
-func (fi *FuncInfo) Name() string {
-	name := fi.Obj.Name()
-	if sig, ok := fi.Obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if named := baseNamed(sig.Recv().Type()); named != nil {
-			name = named.Obj().Name() + "." + name
-		}
-	}
-	if fi.Obj.Pkg() != nil {
-		name = fi.Obj.Pkg().Name() + "." + name
-	}
-	return name
+	return "func " + pkg + fi.Func.Name()
 }
 
 // WGSite and ChanSite pair a module-wide indexed op with its function.
@@ -227,10 +219,11 @@ type ChanIndex struct {
 
 // Module is the whole-program concurrency summary.
 type Module struct {
-	fset *token.FileSet
-	vf   *vflow.Module
+	vf *vflow.Module
 
-	fns map[*types.Func]*FuncInfo
+	// static maps each call expression to the module function the call
+	// graph's static edge at that site names.
+	static map[*ast.CallExpr]*FuncInfo
 
 	// Sorted holds every summarized function in deterministic build
 	// order (unit, file, source); traversals that must be reproducible
@@ -258,53 +251,44 @@ func FromPass(mp *analysis.ModulePass) *Module {
 	if m, ok := mp.Cache[key].(*Module); ok {
 		return m
 	}
-	m := Build(mp.Fset, mp.Pkgs, vflow.FromPass(mp))
+	m := Build(callgraph.FromPass(mp), vflow.FromPass(mp))
 	if mp.Cache != nil {
 		mp.Cache[key] = m
 	}
 	return m
 }
 
-// Build summarizes every declared function of units and runs the
-// can-return fixpoint. Units must share one FileSet and type universe.
-func Build(fset *token.FileSet, units []*analysis.PackageUnit, vf *vflow.Module) *Module {
+// Build summarizes every node of the call graph g and runs the
+// can-return fixpoint.
+func Build(g *callgraph.Graph, vf *vflow.Module) *Module {
 	m := &Module{
-		fset:      fset,
 		vf:        vf,
-		fns:       make(map[*types.Func]*FuncInfo),
+		static:    make(map[*ast.CallExpr]*FuncInfo),
 		wg:        make(map[string]*WGIndex),
 		chans:     make(map[string]*ChanIndex),
 		escapedWG: make(map[string]bool),
 		litRets:   make(map[*ast.FuncLit]bool),
 	}
-	for _, u := range units {
-		for _, file := range u.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := u.TypesInfo.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				if _, dup := m.fns[obj]; dup {
-					continue
-				}
-				fi := m.collect(obj, fd, u)
-				m.fns[obj] = fi
-				m.Sorted = append(m.Sorted, fi)
+	fns := make(map[*callgraph.Node]*FuncInfo, len(g.Sorted))
+	for _, n := range g.Sorted {
+		fi := &FuncInfo{Node: n, params: make(map[*types.Var]bool)}
+		fns[n] = fi
+		m.Sorted = append(m.Sorted, fi)
+	}
+	for _, n := range g.Sorted {
+		for _, e := range n.Out {
+			if call, ok := e.Site.(*ast.CallExpr); ok && e.Kind == callgraph.KindStatic {
+				m.static[call] = fns[e.Callee]
 			}
 		}
+	}
+	for _, fi := range m.Sorted {
+		m.collect(fi)
 	}
 	m.index()
 	m.computeReturns()
 	return m
 }
-
-// FuncOf returns the summary of the declared function obj, or nil when
-// obj is not declared in the module.
-func (m *Module) FuncOf(obj *types.Func) *FuncInfo { return m.fns[obj] }
 
 // WG returns the module-wide counter ops of a WaitGroup key (the zero
 // index when the key is unknown).
@@ -374,10 +358,10 @@ func (m *Module) index() {
 	sort.Strings(m.chKeys)
 }
 
-// collect builds one function's summary with a single AST walk plus a
+// collect fills one function's summary with a single AST walk plus a
 // position-range pass attributing ops to spawned literals and defers.
-func (m *Module) collect(obj *types.Func, fd *ast.FuncDecl, u *analysis.PackageUnit) *FuncInfo {
-	fi := &FuncInfo{Obj: obj, Decl: fd, Unit: u, params: make(map[*types.Var]bool)}
+func (m *Module) collect(fi *FuncInfo) {
+	fd, u := fi.Decl, fi.Unit
 	info := u.TypesInfo
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
@@ -406,14 +390,14 @@ func (m *Module) collect(obj *types.Func, fd *ast.FuncDecl, u *analysis.PackageU
 				sp.Lit = lit
 				spawnExts = append(spawnExts, extent{pos: lit.Body.Pos(), end: lit.Body.End(), spawn: n})
 			} else {
-				sp.Callee = staticCallee(info, n.Call)
+				sp.Callee = m.static[n.Call]
 			}
 			fi.Spawns = append(fi.Spawns, sp)
 		case *ast.DeferStmt:
 			deferExts = append(deferExts, extent{pos: n.Call.Pos(), end: n.Call.End()})
 		case *ast.CallExpr:
 			if kind, ok := wgMethod(info, n); ok {
-				if sel, selOK := unparen(n.Fun).(*ast.SelectorExpr); selOK {
+				if sel, selOK := ast.Unparen(n.Fun).(*ast.SelectorExpr); selOK {
 					fi.WGOps = append(fi.WGOps, &WGOp{
 						Kind: kind,
 						Key:  k.Key(sel.X),
@@ -501,7 +485,6 @@ func (m *Module) collect(obj *types.Func, fd *ast.FuncDecl, u *analysis.PackageU
 	for _, op := range fi.ChanOps {
 		op.InSpawn = inSpawn(op.Node.Pos())
 	}
-	return fi
 }
 
 // Keyer canonicalizes the expressions naming channels and WaitGroups
@@ -526,9 +509,9 @@ func (m *Module) Graph(body *ast.BlockStmt, u *analysis.PackageUnit) *cfg.Graph 
 }
 
 func (k *Keyer) chanOp(kind ChanOpKind, ch ast.Expr, site ast.Node) *ChanOp {
-	op := &ChanOp{Kind: kind, Key: k.Key(ch), Expr: types.ExprString(unparen(ch)), Node: site}
-	if id, ok := unparen(ch).(*ast.Ident); ok {
-		op.Var = k.Canonical(id)
+	op := &ChanOp{Kind: kind, Key: k.Key(ch), Expr: types.ExprString(ast.Unparen(ch)), Node: site}
+	if id, ok := ast.Unparen(ch).(*ast.Ident); ok {
+		op.Var = k.fi.Canonical(id)
 	}
 	return op
 }
@@ -540,10 +523,10 @@ func (k *Keyer) chanOp(kind ChanOpKind, ch ast.Expr, site ast.Node) *ChanOp {
 //	"g|<pkg>.<name>"      package-level variable
 //	"e|<printed>"         anything else, keyed on its printed form
 func (k *Keyer) Key(e ast.Expr) string {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	switch e := e.(type) {
 	case *ast.Ident:
-		if v := k.Canonical(e); v != nil {
+		if v := k.fi.Canonical(e); v != nil {
 			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 				return "g|" + v.Pkg().Path() + "." + v.Name()
 			}
@@ -560,36 +543,6 @@ func (k *Keyer) Key(e ast.Expr) string {
 		}
 	}
 	return "e|" + types.ExprString(e)
-}
-
-// Canonical follows single-definition ident chains to the variable the
-// identifier ultimately names (`q := ch` keys as ch). Idents inside
-// function literals have no vflow record and resolve to their variable
-// directly — captured channels key the same inside and outside.
-func (k *Keyer) Canonical(id *ast.Ident) *types.Var {
-	v, ok := k.info.Uses[id].(*types.Var)
-	if !ok {
-		if dv, ok := k.info.Defs[id].(*types.Var); ok {
-			return dv
-		}
-		return nil
-	}
-	for depth := 0; depth < 8; depth++ {
-		defs := k.fi.DefsOf(id)
-		if len(defs) != 1 || defs[0].RHS == nil {
-			return v
-		}
-		rid, ok := unparen(defs[0].RHS).(*ast.Ident)
-		if !ok {
-			return v
-		}
-		rv, ok := k.info.Uses[rid].(*types.Var)
-		if !ok {
-			return v
-		}
-		v, id = rv, rid
-	}
-	return v
 }
 
 func fieldKey(named *types.Named, field string) string {
@@ -654,7 +607,7 @@ func (m *Module) bodyCanReturn(body *ast.BlockStmt, u *analysis.PackageUnit, use
 		truncated := false
 		if useCallees {
 			for _, n := range blk.Nodes {
-				if m.nodeCallsNonReturning(n, u.TypesInfo) {
+				if m.NonReturningCall(n) != nil {
 					truncated = true
 					break
 				}
@@ -676,25 +629,24 @@ func (m *Module) bodyCanReturn(body *ast.BlockStmt, u *analysis.PackageUnit, use
 	return false
 }
 
-// nodeCallsNonReturning reports whether n lexically contains (outside
-// nested function literals) a static call to a module function that
-// can never return. go statements don't count — the spawned callee
-// blocks its own goroutine, not this path.
-func (m *Module) nodeCallsNonReturning(n ast.Node, info *types.Info) bool {
-	found := false
+// NonReturningCall returns the first module function, in source
+// order, that n calls statically (outside nested function literals)
+// and that can never return, or nil. go statements don't count — the
+// spawned callee blocks its own goroutine, not this path. goleak
+// follows these calls to name the function a goroutine blocks in.
+func (m *Module) NonReturningCall(n ast.Node) *FuncInfo {
+	var found *FuncInfo
 	ast.Inspect(n, func(nd ast.Node) bool {
-		if found {
+		if found != nil {
 			return false
 		}
 		switch nd := nd.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			if obj := staticCallee(info, nd); obj != nil {
-				if fi := m.fns[obj]; fi != nil && !fi.canReturn {
-					found = true
-					return false
-				}
+			if fi := m.static[nd]; fi != nil && !fi.canReturn {
+				found = fi
+				return false
 			}
 		}
 		return true
@@ -702,61 +654,11 @@ func (m *Module) nodeCallsNonReturning(n ast.Node, info *types.Info) bool {
 	return found
 }
 
-// StaticCalleesIn returns the module functions body lexically calls
-// outside nested function literals, in source order without
-// duplicates. goleak walks spawn chains through it.
-func (m *Module) StaticCalleesIn(body ast.Node, info *types.Info) []*FuncInfo {
-	var out []*FuncInfo
-	seen := make(map[*FuncInfo]bool)
-	ast.Inspect(body, func(nd ast.Node) bool {
-		switch nd := nd.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if obj := staticCallee(info, nd); obj != nil {
-				if fi := m.fns[obj]; fi != nil && !seen[fi] {
-					seen[fi] = true
-					out = append(out, fi)
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// staticCallee resolves a call to the declared function it statically
-// names: pkg.F(...), f(...), or a method call on a concrete receiver.
-// Interface calls and calls through function values resolve to nil.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if obj, ok := info.Uses[fun].(*types.Func); ok {
-			return obj
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			obj, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil
-			}
-			if sel.Kind() == types.MethodVal && types.IsInterface(sel.Recv()) {
-				return nil
-			}
-			return obj
-		}
-		if obj, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return obj
-		}
-	}
-	return nil
-}
-
 // wgMethod classifies a call as a sync.WaitGroup counter op. The
 // receiver type check keeps atomic counters, testing.F.Add, time.Add
 // and the energy ledger's Add out of the vocabulary.
 func wgMethod(info *types.Info, call *ast.CallExpr) (WGOpKind, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return 0, false
 	}
@@ -789,7 +691,7 @@ func isWaitGroup(t types.Type) bool {
 }
 
 func isBuiltinClose(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
@@ -798,11 +700,11 @@ func isBuiltinClose(info *types.Info, call *ast.CallExpr) bool {
 }
 
 func isMakeChan(info *types.Info, e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	id, ok := unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
@@ -847,14 +749,4 @@ func baseNamed(t types.Type) *types.Named {
 		return nil
 	}
 	return named
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -41,7 +41,7 @@ func load(t *testing.T, src string) (*conc.Module, *analysis.PackageUnit) {
 func fn(t *testing.T, m *conc.Module, name string) *conc.FuncInfo {
 	t.Helper()
 	for _, fi := range m.Sorted {
-		if fi.Obj.Name() == name {
+		if fi.Func.Name() == name {
 			return fi
 		}
 	}
@@ -64,7 +64,7 @@ func F(fnv func()) {
 	if len(f.Spawns) != 3 {
 		t.Fatalf("got %d spawns, want 3", len(f.Spawns))
 	}
-	if f.Spawns[0].Callee == nil || f.Spawns[0].Callee.Name() != "helper" {
+	if f.Spawns[0].Callee == nil || f.Spawns[0].Callee.Func.Name() != "helper" {
 		t.Errorf("spawn 0: want static callee helper, got %+v", f.Spawns[0])
 	}
 	if f.Spawns[1].Lit == nil {

@@ -1,33 +1,45 @@
-// Package dettaint propagates nondeterminism through the call graph.
-// detrand polices direct use of wall-clock time and unseeded randomness
-// inside simulator packages, but says nothing about a sim package
-// calling a helper (internal/stats, internal/topology, ...) that reads
-// time.Now three frames down — the entropy still reaches simulator
-// state, just laundered through module code detrand never inspects.
+// Package dettaint keeps nondeterminism out of the simulator core. Two
+// runs with the same seed must be bit-identical (internal/sim package
+// doc), so all randomness must flow through sim.RNG, all time through
+// sim.Clock / sim.Cycle, and no result may depend on Go's randomized
+// map iteration order. Tooling packages (cmd/*, internal/report,
+// examples) are exempt — unless the simulator calls into them.
 //
-// This analyzer computes, for every module function, whether its
-// execution can observe a nondeterminism source:
+// The analyzer reads one source table (wall-clock members of package
+// time, the math/rand and crypto/rand packages, testing/quick's
+// unseeded driver) and one unordered-range predicate (a range over a
+// map with no //hetpnoc:orderfree directive that is not the
+// sorted-iteration prologue), and applies them twice:
 //
-//   - calls into the standard library's entropy and wall-clock APIs
-//     (detrand's time/rand tables, plus testing/quick's unseeded
-//     driver, which detrand does not cover);
-//   - range statements over maps in non-sim module packages without an
-//     //hetpnoc:orderfree justification (maprange already covers sim
-//     packages).
+//   - Directly, in every simulator-package file, package scope
+//     included: importing math/rand or crypto/rand, reading the wall
+//     clock, calling testing/quick outside a //hetpnoc:detsafe
+//     function, and ranging over a map without sorting the keys or
+//     justifying the order-insensitivity are reported where they
+//     appear.
+//   - Through the call graph: a module function whose body calls a
+//     source, or (outside the simulator packages) ranges over a map
+//     unordered, is tainted; taint propagates caller-ward over all
+//     call-graph edges until fixpoint. A call from a simulator-package
+//     function to a tainted helper outside the simulator core is an
+//     error; the diagnostic carries the taint chain from the call site
+//     down to the intrinsic source. Tainted simulator-package callees
+//     already carry their direct report at the source.
 //
-// Taint propagates caller-ward over all call-graph edges until
-// fixpoint. A call from a simulator-package function to a tainted
-// helper is an error; the diagnostic carries the taint chain from the
-// call site down to the intrinsic source. Direct calls from sim
-// functions to sources outside detrand's tables (testing/quick.Check)
-// are reported too, so the two analyzers cover the source set exactly
-// once between them.
+// A map range is allowed when it is the sorted-iteration prologue — a
+// key-collection loop `for k := range m { keys = append(keys, k) }`
+// whose target slice is passed to a sort or slices call later in the
+// same function — or when the statement carries a
+// //hetpnoc:orderfree <why> directive (same line or the line above)
+// explaining why its body is insensitive to order.
 //
 // //hetpnoc:detsafe <why> on a function's doc comment declares that
 // its nondeterminism never reaches simulator state — the canonical case
 // is a property test that deliberately samples random inputs and prints
-// any counterexample. A detsafe function is treated as clean and its
-// body's reports are suppressed.
+// any counterexample. A detsafe function is treated as clean: it does
+// not taint its callers and its testing/quick calls are not reported.
+// Wall-clock reads and entropy imports in simulator packages have no
+// such escape.
 package dettaint
 
 import (
@@ -39,52 +51,62 @@ import (
 
 	"hetpnoc/internal/analysis"
 	"hetpnoc/internal/analysis/callgraph"
-	"hetpnoc/internal/analysis/maprange"
 )
 
 // Analyzer is the dettaint check.
 var Analyzer = &analysis.Analyzer{
 	Name: "dettaint",
-	Doc: "forbid calls from simulator packages to transitively nondeterministic module functions\n\n" +
-		"Interprocedural companion to detrand: taint from wall-clock time,\n" +
-		"unseeded randomness, testing/quick and order-sensitive map ranges\n" +
-		"propagates up the call graph; a sim-package call to a tainted\n" +
-		"helper is reported with the full taint chain. Declare deliberate\n" +
-		"sampling with //hetpnoc:detsafe <why>.",
+	Doc: "forbid nondeterminism sources in simulator packages, directly or through the call graph\n\n" +
+		"Simulator state may only advance from seeded sim.RNG draws and the\n" +
+		"sim.Cycle clock. Wall-clock time, math/rand, crypto/rand,\n" +
+		"testing/quick and unsorted map ranges are reported where they\n" +
+		"appear in simulator packages; taint from the same sources\n" +
+		"propagates up the call graph, and a sim-package call to a tainted\n" +
+		"helper is reported with the full taint chain. Sort map keys or\n" +
+		"annotate //hetpnoc:orderfree <why>; declare deliberate sampling\n" +
+		"with //hetpnoc:detsafe <why>.",
 	RunModule: run,
 }
 
-// sourceHint matches one external *types.Func against the
-// nondeterminism-source tables, returning a display name and whether it
-// is already covered by detrand inside sim packages (and therefore not
-// re-reported there).
-func sourceHint(f *types.Func) (name string, detrandCovered, ok bool) {
-	pkg := f.Pkg()
-	if pkg == nil {
-		return "", false, false
-	}
-	switch pkg.Path() {
-	case "time":
-		if _, bad := forbiddenTime[f.Name()]; bad {
-			return "time." + f.Name(), true, true
-		}
-	case "math/rand", "math/rand/v2", "crypto/rand":
-		return pkg.Path() + "." + f.Name(), true, true
-	case "testing/quick":
-		// quick.Check / quick.CheckEqual draw from an unseeded
-		// rand.Source unless a Config supplies one.
-		if strings.HasPrefix(f.Name(), "Check") {
-			return "testing/quick." + f.Name(), false, true
-		}
-	}
-	return "", false, false
+// entropyPkgs are packages every member of which is a nondeterminism
+// source (or, for crypto/rand, an entropy source the simulator must
+// never need): a simulator package may not even import them.
+var entropyPkgs = map[string]string{
+	"math/rand":    "use the run-owned *sim.RNG instead",
+	"math/rand/v2": "use the run-owned *sim.RNG instead",
+	"crypto/rand":  "the simulator must not consume OS entropy",
 }
 
-// forbiddenTime mirrors detrand's wall-clock member table.
-var forbiddenTime = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "AfterFunc": true, "Tick": true,
-	"NewTimer": true, "NewTicker": true,
+// wallClock are the wall-clock members of package time. Types and
+// constants (time.Duration, time.Second) remain usable for reporting
+// physical quantities; anything that reads or waits on the host clock
+// does not.
+var wallClock = map[string]string{
+	"Now":       "derive timestamps from the sim.Cycle counter",
+	"Since":     "subtract sim.Cycle values instead",
+	"Until":     "subtract sim.Cycle values instead",
+	"Sleep":     "schedule future work on the sim.TimerWheel",
+	"After":     "schedule future work on the sim.TimerWheel",
+	"AfterFunc": "schedule future work on the sim.TimerWheel",
+	"Tick":      "schedule recurring work on the sim.TimerWheel",
+	"NewTimer":  "schedule future work on the sim.TimerWheel",
+	"NewTicker": "schedule recurring work on the sim.TimerWheel",
+}
+
+// source returns the display name of member of package pkg when it is
+// a nondeterminism source, or "".
+func source(pkg, member string) string {
+	switch {
+	case entropyPkgs[pkg] != "":
+		return pkg + "." + member
+	case pkg == "time" && wallClock[member] != "":
+		return "time." + member
+	case pkg == "testing/quick" && strings.HasPrefix(member, "Check"):
+		// quick.Check / quick.CheckEqual draw from an unseeded
+		// rand.Source unless a Config supplies one.
+		return "testing/quick." + member
+	}
+	return ""
 }
 
 // taint records how a function first became tainted: either an
@@ -99,6 +121,14 @@ type taint struct {
 func run(mp *analysis.ModulePass) error {
 	g := callgraph.FromPass(mp)
 	dirs := analysis.NewDirectiveCache(mp.Fset)
+
+	for _, u := range mp.Pkgs {
+		if isSim(u) {
+			for _, f := range u.Files {
+				checkFile(mp, u, dirs.For(u, f.Pos()), f)
+			}
+		}
+	}
 
 	detsafe := make(map[*callgraph.Node]bool)
 	for _, n := range g.Sorted {
@@ -121,7 +151,7 @@ func run(mp *analysis.ModulePass) error {
 		if detsafe[n] {
 			continue
 		}
-		if t := intrinsic(mp, dirs, n); t != nil {
+		if t := intrinsic(dirs, n); t != nil {
 			taints[n] = t
 			queue = append(queue, n)
 		}
@@ -144,26 +174,15 @@ func run(mp *analysis.ModulePass) error {
 		}
 	}
 
-	// Report sim-package violations.
+	// Report sim-package calls to tainted helpers outside the sim core.
 	for _, n := range g.Sorted {
-		if !analysis.IsSimPackage(strings.TrimSuffix(n.Unit.Path, "_test")) || detsafe[n] {
+		if !isSim(n.Unit) || detsafe[n] {
 			continue
 		}
-		// Direct calls to sources detrand does not cover.
-		for _, ext := range n.External {
-			if name, covered, ok := sourceHint(ext.Func); ok && !covered {
-				mp.Reportf(ext.Pos,
-					fmt.Sprintf("%s draws unseeded randomness in a simulator package, which breaks run reproducibility", name),
-					"seed the source explicitly, or annotate the function //hetpnoc:detsafe <why>")
-			}
-		}
-		// Calls to tainted helpers outside the sim core. Tainted
-		// sim-package callees hold their own detrand/dettaint report at
-		// the source, so re-reporting every caller would be noise.
 		for _, e := range n.Out {
 			callee := e.Callee
 			t, bad := taints[callee]
-			if !bad || analysis.IsSimPackage(strings.TrimSuffix(callee.Unit.Path, "_test")) {
+			if !bad || isSim(callee.Unit) {
 				continue
 			}
 			mp.Reportf(e.Pos(),
@@ -175,57 +194,212 @@ func run(mp *analysis.ModulePass) error {
 	return nil
 }
 
-// intrinsic returns n's own-body taint, or nil: an external call into
-// the source tables, or an unjustified range over a map in a non-sim
-// package.
-func intrinsic(mp *analysis.ModulePass, dirs *analysis.DirectiveCache, n *callgraph.Node) *taint {
-	for _, ext := range n.External {
-		if name, _, ok := sourceHint(ext.Func); ok {
-			return &taint{source: name, pos: ext.Pos}
-		}
-	}
-	if !analysis.IsSimPackage(strings.TrimSuffix(n.Unit.Path, "_test")) {
-		if pos, ok := unorderedMapRange(mp, dirs, n); ok {
-			return &taint{source: "range over map", pos: pos}
-		}
-	}
-	return nil
+// isSim reports whether u belongs to the simulator core; an external
+// test package counts as the package it tests.
+func isSim(u *analysis.PackageUnit) bool {
+	return analysis.IsSimPackage(strings.TrimSuffix(u.Path, "_test"))
 }
 
-// unorderedMapRange returns the position of the first range statement
-// over a map in n's body that carries no //hetpnoc:orderfree directive
-// and is not the sorted-iteration prologue maprange recognizes.
-func unorderedMapRange(mp *analysis.ModulePass, dirs *analysis.DirectiveCache, n *callgraph.Node) (token.Pos, bool) {
-	pass := mp.PassFor(n.Unit)
-	var pos token.Pos
-	found := false
+// checkFile reports every direct use of a nondeterminism source in one
+// simulator-package file: entropy imports, qualified references to
+// source members anywhere in the file (package-level initializers
+// included), and unordered map ranges in function bodies.
+func checkFile(mp *analysis.ModulePass, u *analysis.PackageUnit, dirs *analysis.Directives, file *ast.File) {
+	for _, imp := range file.Imports {
+		// The path literal is always a valid quoted string once the
+		// file type-checks.
+		path := imp.Path.Value[1 : len(imp.Path.Value)-1]
+		if hint, ok := entropyPkgs[path]; ok {
+			mp.Reportf(imp.Pos(),
+				fmt.Sprintf("import of %s is forbidden in simulator packages: %s", path, hint),
+				"thread a *sim.RNG (seeded from the run config) through the component")
+		}
+	}
+
+	for _, decl := range file.Decls {
+		fd, _ := decl.(*ast.FuncDecl) // nil at package scope
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				if fd != nil {
+					checkRange(mp, u, dirs, fd.Body, n)
+				}
+			case *ast.SelectorExpr:
+				checkSelector(mp, u, fd, n)
+			}
+			return true
+		})
+	}
+}
+
+// checkSelector reports a qualified reference pkg.Member to a source.
+// Entropy packages are reported once, at their import.
+func checkSelector(mp *analysis.ModulePass, u *analysis.PackageUnit, fd *ast.FuncDecl, sel *ast.SelectorExpr) {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return
+	}
+	pn, ok := u.TypesInfo.Uses[id].(*types.PkgName)
+	if !ok {
+		return
+	}
+	pkg, member := pn.Imported().Path(), sel.Sel.Name
+	name := source(pkg, member)
+	if name == "" || entropyPkgs[pkg] != "" {
+		return
+	}
+	if pkg == "time" {
+		mp.Reportf(sel.Pos(),
+			fmt.Sprintf("time.%s reads the wall clock, which breaks run reproducibility: %s", member, wallClock[member]),
+			"express the quantity in sim.Cycle ticks")
+		return
+	}
+	if fd != nil {
+		if _, safe := analysis.FuncDirective(fd, analysis.DirectiveDetsafe); safe {
+			return
+		}
+	}
+	mp.Reportf(sel.Pos(),
+		fmt.Sprintf("%s draws unseeded randomness in a simulator package, which breaks run reproducibility", name),
+		"seed the source explicitly, or annotate the function //hetpnoc:detsafe <why>")
+}
+
+// checkRange reports an unordered range over a map inside body, and an
+// //hetpnoc:orderfree directive that lacks its justification.
+func checkRange(mp *analysis.ModulePass, u *analysis.PackageUnit, dirs *analysis.Directives, body *ast.BlockStmt, rs *ast.RangeStmt) {
+	t, ordered, dir := rangeOrder(u.TypesInfo, dirs, body, rs)
+	if dir != nil && dir.Arg == "" {
+		mp.Reportf(rs.Pos(),
+			"//hetpnoc:orderfree needs a justification explaining why this range is order-insensitive",
+			"//hetpnoc:orderfree <why the body is insensitive to iteration order>")
+	}
+	if t != nil && !ordered {
+		mp.Reportf(rs.Pos(),
+			fmt.Sprintf("range over map %s has randomized iteration order, which breaks run reproducibility; iterate sorted keys instead",
+				types.TypeString(t, types.RelativeTo(u.Pkg))),
+			"//hetpnoc:orderfree <why> on the line above, if the body is order-insensitive")
+	}
+}
+
+// rangeOrder is the unordered-range predicate. t is the ranged map type
+// (nil when rs does not range over a map); ordered reports that the
+// iteration order cannot leak, because an //hetpnoc:orderfree directive
+// covers rs (returned as dir) or rs is the sorted-iteration prologue
+// within body.
+func rangeOrder(info *types.Info, dirs *analysis.Directives, body *ast.BlockStmt, rs *ast.RangeStmt) (t types.Type, ordered bool, dir *analysis.Directive) {
+	t = info.TypeOf(rs.X)
+	if t == nil {
+		return nil, false, nil
+	}
+	if _, ok := t.Underlying().(*types.Map); !ok {
+		return nil, false, nil
+	}
+	if dirs != nil {
+		if d, ok := dirs.Covering(rs, analysis.DirectiveOrderfree); ok {
+			return t, true, &d
+		}
+	}
+	return t, isSortedCollect(info, body, rs), nil
+}
+
+// intrinsic returns n's own-body taint, or nil: an external call into
+// the source table, or an unordered range over a map in a non-sim
+// package (sim-package ranges carry their own direct report).
+func intrinsic(dirs *analysis.DirectiveCache, n *callgraph.Node) *taint {
+	for _, ext := range n.External {
+		if pkg := ext.Func.Pkg(); pkg != nil {
+			if name := source(pkg.Path(), ext.Func.Name()); name != "" {
+				return &taint{source: name, pos: ext.Pos}
+			}
+		}
+	}
+	if isSim(n.Unit) {
+		return nil
+	}
+	var found *ast.RangeStmt
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
-		if found {
+		if found != nil {
 			return false
 		}
-		rs, ok := nd.(*ast.RangeStmt)
+		if rs, ok := nd.(*ast.RangeStmt); ok {
+			if t, ordered, _ := rangeOrder(n.Unit.TypesInfo, dirs.For(n.Unit, rs.Pos()), n.Decl.Body, rs); t != nil && !ordered {
+				found = rs
+				return false
+			}
+		}
+		return true
+	})
+	if found == nil {
+		return nil
+	}
+	return &taint{source: "range over map", pos: found.Pos()}
+}
+
+// isSortedCollect recognizes the sorted-iteration prologue: the loop
+// body is exactly `keys = append(keys, k)` for the range key, and the
+// same function later hands keys to package sort or slices. The sort
+// erases the nondeterministic collection order.
+func isSortedCollect(info *types.Info, fn *ast.BlockStmt, rs *ast.RangeStmt) bool {
+	if rs.Body == nil || len(rs.Body.List) != 1 {
+		return false
+	}
+	key, ok := rs.Key.(*ast.Ident)
+	if !ok || key.Name == "_" {
+		return false
+	}
+	as, ok := rs.Body.List[0].(*ast.AssignStmt)
+	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return false
+	}
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 {
+		return false
+	}
+	fun, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	if b, ok := info.Uses[fun].(*types.Builtin); !ok || b.Name() != "append" {
+		return false
+	}
+	target := types.ExprString(as.Lhs[0])
+	arg, ok := call.Args[1].(*ast.Ident)
+	if !ok || arg.Name != key.Name || types.ExprString(call.Args[0]) != target {
+		return false
+	}
+
+	// Look for sort.X(target, ...) or slices.X(target, ...) after the
+	// loop in the same function.
+	sorted := false
+	ast.Inspect(fn, func(n ast.Node) bool {
+		if sorted {
+			return false
+		}
+		c, ok := n.(*ast.CallExpr)
+		if !ok || c.Pos() < rs.End() || len(c.Args) == 0 {
+			return true
+		}
+		sel, ok := c.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		t := pass.TypeOf(rs.X)
-		if t == nil {
+		id, ok := sel.X.(*ast.Ident)
+		if !ok {
 			return true
 		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
+		pn, ok := info.Uses[id].(*types.PkgName)
+		if !ok {
 			return true
 		}
-		if d := dirs.For(n.Unit, rs.Pos()); d != nil {
-			if _, covered := d.Covering(rs, analysis.DirectiveOrderfree); covered {
-				return true
-			}
-		}
-		if maprange.IsSortedCollect(pass, n.Decl.Body, rs) {
+		if p := pn.Imported().Path(); p != "sort" && p != "slices" {
 			return true
 		}
-		pos, found = rs.Pos(), true
-		return false
+		if types.ExprString(c.Args[0]) == target {
+			sorted = true
+		}
+		return true
 	})
-	return pos, found
+	return sorted
 }
 
 // chainOf renders the taint chain from n down to its intrinsic source,

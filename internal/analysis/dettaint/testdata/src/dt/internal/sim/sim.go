@@ -1,6 +1,6 @@
 // Package sim exercises dettaint from the simulator side: calls into
-// transitively nondeterministic helpers are errors, sources detrand
-// already polices are not re-reported, and //hetpnoc:detsafe contains
+// transitively nondeterministic helpers are errors, a direct source is
+// reported once where it appears, and //hetpnoc:detsafe contains
 // deliberate sampling.
 package sim
 
@@ -35,9 +35,9 @@ func SafeProp() {
 //hetpnoc:detsafe
 func BadDetsafe() {} // want `//hetpnoc:detsafe needs a justification`
 
-// wall is detrand's finding, not dettaint's: no report here.
-func wall() time.Duration { return time.Since(time.Time{}) }
+// wall reads the wall clock directly: reported at the source.
+func wall() time.Duration { return time.Since(time.Time{}) } // want `time\.Since reads the wall clock`
 
 // Outer calls a tainted sim-package function; the taint source already
-// carries detrand's report, so dettaint stays silent on this edge.
+// carries its direct report, so the call edge stays silent.
 func Outer() { _ = wall() }

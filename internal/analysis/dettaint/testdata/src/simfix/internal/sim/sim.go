@@ -10,6 +10,10 @@ import (
 	clk "time"
 )
 
+// epoch is read at package initialization, outside any function body:
+// only a whole-file scan sees it.
+var epoch = time.Now() // want `time.Now reads the wall clock`
+
 func Draw() int {
 	return mrand.Int()
 }

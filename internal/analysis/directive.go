@@ -16,7 +16,7 @@ const (
 	DirectiveOrderfree = "orderfree"
 
 	// DirectiveHotpath marks a function that must not allocate in steady
-	// state; hotpathalloc checks its body.
+	// state; hotpathreach checks its body and everything it reaches.
 	DirectiveHotpath = "hotpath"
 
 	// DirectiveImmutable marks a package-level var that is a write-once
@@ -86,7 +86,7 @@ const (
 
 	// DirectiveLockorder declares the acquisition order of two mutexes:
 	// //hetpnoc:lockorder <outer> <inner> <why> states that <outer> may
-	// be held while <inner> is acquired, never the reverse. lockorder
+	// be held while <inner> is acquired, never the reverse. lockguard
 	// feeds declared edges into its deadlock graph and requires a
 	// declaration for every lock pair that shares a call tree.
 	DirectiveLockorder = "lockorder"
@@ -248,7 +248,7 @@ func (dc *DirectiveCache) For(unit *PackageUnit, pos token.Pos) *Directives {
 }
 
 // FileDirectives returns every //hetpnoc: directive in file, in source
-// order, regardless of placement. lockorder collects its module-wide
+// order, regardless of placement. lockguard collects its module-wide
 // //hetpnoc:lockorder declarations this way.
 func FileDirectives(file *ast.File) []Directive {
 	var out []Directive

@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"hetpnoc/internal/analysis"
-	"hetpnoc/internal/analysis/callgraph"
 	"hetpnoc/internal/analysis/conc"
 )
 
@@ -53,9 +52,8 @@ const suggestion = "select on ctx.Done() or a quit channel inside the loop, boun
 
 func run(mp *analysis.ModulePass) error {
 	m := conc.FromPass(mp)
-	cg := callgraph.FromPass(mp)
 	dc := analysis.NewDirectiveCache(mp.Fset)
-	c := &checker{mp: mp, m: m, cg: cg, dc: dc}
+	c := &checker{mp: mp, m: m, dc: dc}
 	for _, fi := range m.Sorted {
 		for _, sp := range fi.Spawns {
 			c.spawn(fi, sp)
@@ -67,7 +65,6 @@ func run(mp *analysis.ModulePass) error {
 type checker struct {
 	mp *analysis.ModulePass
 	m  *conc.Module
-	cg *callgraph.Graph
 	dc *analysis.DirectiveCache
 }
 
@@ -82,14 +79,13 @@ func (c *checker) spawn(fi *conc.FuncInfo, sp *conc.Spawn) {
 		rootBody = sp.Lit.Body
 		rootName = "func literal"
 	case sp.Callee != nil:
-		rootFn = c.m.FuncOf(sp.Callee)
-		if rootFn == nil {
-			return // out-of-module callee: lifetime owned elsewhere
-		}
+		rootFn = sp.Callee
 		rootBody = rootFn.Decl.Body
-		rootName = c.name(rootFn)
+		rootName = rootFn.Name()
 	default:
-		return // function-typed value: open callee set, like callgraph
+		// Out-of-module callee (lifetime owned elsewhere) or a
+		// function-typed value (open callee set, like callgraph).
+		return
 	}
 
 	canReturn := false
@@ -127,9 +123,8 @@ type chainStep struct {
 
 // chain follows the spawn into the function that never returns: while
 // the current body could exit on its own (intrinsically), the blocker
-// is a static callee whose CanReturn is false — step into it. Static
-// resolution matches the CHA call graph's static edges; names render
-// through the graph's nodes.
+// is the static callee that truncated its can-return walk — step into
+// it.
 func (c *checker) chain(rootName string, rootBody *ast.BlockStmt, rootFn, encl *conc.FuncInfo) []chainStep {
 	unit := encl.Unit
 	if rootFn != nil {
@@ -141,28 +136,14 @@ func (c *checker) chain(rootName string, rootBody *ast.BlockStmt, rootFn, encl *
 		if fn != nil && !fn.IntrinsicReturn() {
 			break // this body's own control flow is the blocker
 		}
-		var next *conc.FuncInfo
-		for _, callee := range c.m.StaticCalleesIn(body, unit.TypesInfo) {
-			if !callee.CanReturn() {
-				next = callee
-				break
-			}
-		}
+		next := c.m.NonReturningCall(body)
 		if next == nil {
 			break
 		}
-		steps = append(steps, chainStep{name: c.name(next), body: next.Decl.Body, unit: next.Unit})
-		body, fn, unit = next.Decl.Body, next, next.Unit
+		steps = append(steps, chainStep{name: next.Name(), body: next.Decl.Body, unit: next.Unit})
+		body, fn = next.Decl.Body, next
 	}
 	return steps
-}
-
-// name renders fn through its call-graph node when it has one.
-func (c *checker) name(fn *conc.FuncInfo) string {
-	if n := c.cg.NodeOf(fn.Obj); n != nil {
-		return n.Name()
-	}
-	return fn.Name()
 }
 
 // joined reports whether the goroutine Dones a WaitGroup that some

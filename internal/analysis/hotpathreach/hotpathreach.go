@@ -1,13 +1,19 @@
-// Package hotpathreach extends hotpathalloc across the call graph:
-// every module function reachable from a //hetpnoc:hotpath root
-// inherits the zero-allocation rules without needing its own
-// annotation. The intraprocedural analyzer sees only annotated bodies,
-// so an allocation hidden one call deep — Fabric.Step calling an
-// unannotated helper that appends into a fresh slice — used to escape
-// the gate entirely; this analyzer closes that hole.
+// Package hotpathreach guards the simulator's zero-allocation cycle
+// loop. Functions marked //hetpnoc:hotpath in their doc comment
+// (Fabric.Step, router arbitration, packet pool operations) are the
+// roots of the steady-state inner loop; BENCH_*.json records 0
+// allocs/op for them. Every module function reachable from a root is
+// as hot as the root itself, so an allocation hidden one call deep —
+// Fabric.Step calling an unannotated helper that appends into a fresh
+// slice — is as much a regression as one in the root. The analyzer
+// walks the call graph from every root and applies the hot-path
+// allocation rules (see Check) to each function it reaches, roots
+// included. The roots are opt-in per function, so the analyzer covers
+// every package, simulator or not.
 //
-// Each diagnostic carries the shortest root→callee call chain, so a
-// report reads like a stack trace ending at the allocation site.
+// A diagnostic in a root reads as is; one in a reached function
+// carries the shortest root→callee call chain, so the report reads
+// like a stack trace ending at the allocation site.
 //
 // Deliberate slow-path exits (error formatting, one-shot warm-up work)
 // are cut with a justified directive, at either granularity:
@@ -40,17 +46,17 @@ package hotpathreach
 import (
 	"hetpnoc/internal/analysis"
 	"hetpnoc/internal/analysis/callgraph"
-	"hetpnoc/internal/analysis/hotpathalloc"
 )
 
 // Analyzer is the hotpathreach check.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpathreach",
-	Doc: "apply hot-path allocation rules to every function reachable from a //hetpnoc:hotpath root\n\n" +
-		"The cycle loop's callees are as hot as the loop itself; this\n" +
-		"whole-program pass walks the call graph from every annotated root\n" +
-		"and runs hotpathalloc's checks on each reachable module function,\n" +
-		"reporting violations with the full root→callee call chain.\n" +
+	Doc: "flag allocation-causing constructs in //hetpnoc:hotpath functions and everything they reach\n\n" +
+		"Hot-path functions must stay at 0 allocs/op in steady state; this\n" +
+		"check flags appends without amortized reuse, fmt formatting,\n" +
+		"capturing closures, string concatenation and interface boxing in\n" +
+		"every annotated root and every module function reachable from one,\n" +
+		"reporting the latter with the full root→callee call chain.\n" +
 		"Sever deliberate slow-path calls with //hetpnoc:coldcall <why>,\n" +
 		"at the call site or in the callee's doc comment.",
 	RunModule: run,
@@ -172,21 +178,23 @@ func run(mp *analysis.ModulePass) error {
 			"//hetpnoc:coldcall <why this call never runs in steady state>")
 	}
 
-	// Check every reached function that is not itself annotated (those
-	// are hotpathalloc's job), chain appended to each diagnostic.
+	// Check every hot function; a reached (depth > 0) function's
+	// diagnostics carry the chain from its root.
 	for _, n := range g.Sorted {
 		v, reached := reach.Parent[n]
-		if !reached || v.Via == nil {
+		if !reached {
 			continue
 		}
-		chain := reach.ChainOf(n)
 		pass := mp.PassFor(n.Unit)
-		inner := pass.Report
-		pass.Report = func(d analysis.Diagnostic) {
-			d.Message += " (hot path: " + chain + ")"
-			inner(d)
+		if v.Via != nil {
+			chain := reach.ChainOf(n)
+			inner := pass.Report
+			pass.Report = func(d analysis.Diagnostic) {
+				d.Message += " (hot path: " + chain + ")"
+				inner(d)
+			}
 		}
-		hotpathalloc.Check(pass, n.Decl)
+		Check(pass, n.Decl)
 	}
 	return nil
 }

@@ -63,4 +63,5 @@ func Unchecked(n int) string {
 
 func sink(v interface{}) { _ = v }
 
-func itoa(n int) string { return fmt.Sprint(n) }
+// itoa is reached from Leaky, so it is hot too.
+func itoa(n int) string { return fmt.Sprint(n) } // want `fmt\.Sprint formats \(and boxes its operands\) on a hot path \(hot path: hot\.Engine\.Leaky -> hot\.itoa\)`

@@ -134,7 +134,7 @@ func (c *checker) apply(n ast.Node, facts cfg.FactSet, report func(n ast.Node, m
 			// Rebinding a variable discards whatever fabric state it
 			// named: f = fabric.New(...) is fresh, never stale.
 			for _, lhs := range nd.Lhs {
-				if id, ok := unparen(lhs).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 					c.killFabric(facts, c.key(id))
 				}
 			}
@@ -220,42 +220,13 @@ func (c *checker) report(n ast.Node, msg, sugg string) {
 // original variable (`g := f` names the same fabric as f); anything
 // else keys on its printed form.
 func (c *checker) key(e ast.Expr) string {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	if id, ok := e.(*ast.Ident); ok {
-		if v := c.canonical(id); v != nil {
+		if v := c.fi.Canonical(id); v != nil {
 			return fmt.Sprintf("v%d", v.Pos())
 		}
 	}
 	return "e " + types.ExprString(e)
-}
-
-// canonical follows single-def ident chains: while the identifier has
-// exactly one reaching definition whose right-hand side is another
-// identifier, the value is that variable.
-func (c *checker) canonical(id *ast.Ident) *types.Var {
-	v, ok := c.info.Uses[id].(*types.Var)
-	if !ok {
-		if dv, ok := c.info.Defs[id].(*types.Var); ok {
-			return dv
-		}
-		return nil
-	}
-	for depth := 0; depth < 8; depth++ {
-		defs := c.fi.DefsOf(id)
-		if len(defs) != 1 || defs[0].RHS == nil {
-			return v
-		}
-		rid, ok := unparen(defs[0].RHS).(*ast.Ident)
-		if !ok {
-			return v
-		}
-		rv, ok := c.info.Uses[rid].(*types.Var)
-		if !ok {
-			return v
-		}
-		v, id = rv, rid
-	}
-	return v
 }
 
 // isFabricMethod reports whether obj is a method of the named type
@@ -278,14 +249,4 @@ func isFabricMethod(obj *types.Func) bool {
 		return false
 	}
 	return vflow.PkgLastSegment(tn.Pkg().Path()) == "fabric"
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

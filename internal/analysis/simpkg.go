@@ -3,9 +3,9 @@ package analysis
 import "strings"
 
 // SimPackages are the package-path suffixes that form the deterministic
-// simulator core. detrand, maprange and globalstate apply only inside
-// these packages; tooling (cmd/*, internal/report, examples) is free to
-// use wall-clock time, global flags and unordered iteration.
+// simulator core. globalstate and dettaint's direct rules apply only
+// inside these packages; tooling (cmd/*, internal/report, examples) is
+// free to use wall-clock time, global flags and unordered iteration.
 var simPackages = []string{
 	"internal/sim",
 	"internal/fabric",

@@ -162,7 +162,7 @@ func (c *checker) report(n ast.Node, msg string) {
 // variables with fully explained definitions (vflow), unary sign, and
 // domain-preserving + and -.
 func (c *checker) prov(e ast.Expr, seen map[*types.Var]bool) string {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	if d := domainOf(c.unit.TypesInfo.TypeOf(e)); d != "" {
 		return d
 	}
@@ -248,14 +248,4 @@ func domainOf(t types.Type) string {
 		return "time." + obj.Name()
 	}
 	return ""
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

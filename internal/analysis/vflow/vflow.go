@@ -5,17 +5,18 @@
 // definition reaches a use when it survives along at least one path)
 // over the internal/analysis/cfg control-flow graph.
 //
-// The provenance consumers (unitsafe's laundering-cast detection,
-// seedflow's fabric-variable canonicalization) only ever act on defs
-// they can fully explain, so the layer is deliberately conservative:
-// a definition whose right-hand side cannot be paired one-to-one with
-// its variable — tuple assignments, compound ops (+=), zero-value
-// declarations, range variables — is recorded as opaque (RHS nil), and
-// variables the function cannot reason about locally at all (address
-// taken, assigned inside a function literal that may run at any time)
-// have every definition forced opaque. Function parameters carry no
-// definitions; their uses resolve to nothing, which consumers treat as
-// unknown provenance.
+// The provenance consumers (unitsafe's laundering-cast detection, and
+// the alias canonicalization FuncInfo.Canonical gives seedflow's
+// fabrics and the conc layer's channels and WaitGroups) only ever act
+// on defs they can fully explain, so the layer is deliberately
+// conservative: a definition whose right-hand side cannot be paired
+// one-to-one with its variable — tuple assignments, compound ops (+=),
+// zero-value declarations, range variables — is recorded as opaque
+// (RHS nil), and variables the function cannot reason about locally
+// at all (address taken, assigned inside a function literal that may
+// run at any time) have every definition forced opaque. Function
+// parameters carry no definitions; their uses resolve to nothing, which
+// consumers treat as unknown provenance.
 //
 // Like the call graph, per-function results are memoized module-wide
 // through ModulePass.Cache so the analyzers of one lint invocation
@@ -62,12 +63,48 @@ type FuncInfo struct {
 	// inside nested function literals are not recorded — a literal runs
 	// at an unknown time, so no outer definition reliably reaches it.
 	UseDefs map[*ast.Ident][]*Def
+
+	info *types.Info
 }
 
 // DefsOf returns the definitions reaching the use id, or nil when id is
 // not a recorded use (not a local variable read, inside a function
 // literal, or in unreachable code).
 func (fi *FuncInfo) DefsOf(id *ast.Ident) []*Def { return fi.UseDefs[id] }
+
+// Canonical resolves an alias chain to the variable it names: while
+// the identifier has exactly one reaching definition whose right-hand
+// side is another identifier, the value is that variable (`g := f`
+// names f). Idents with no use record (inside function literals, or
+// parameters) resolve to their own variable, so a captured variable
+// keys the same inside and outside the literal. A defining ident
+// resolves to the variable it declares; an ident naming no variable
+// returns nil.
+func (fi *FuncInfo) Canonical(id *ast.Ident) *types.Var {
+	v, ok := fi.info.Uses[id].(*types.Var)
+	if !ok {
+		if dv, ok := fi.info.Defs[id].(*types.Var); ok {
+			return dv
+		}
+		return nil
+	}
+	for depth := 0; depth < 8; depth++ {
+		defs := fi.DefsOf(id)
+		if len(defs) != 1 || defs[0].RHS == nil {
+			return v
+		}
+		rid, ok := ast.Unparen(defs[0].RHS).(*ast.Ident)
+		if !ok {
+			return v
+		}
+		rv, ok := fi.info.Uses[rid].(*types.Var)
+		if !ok {
+			return v
+		}
+		v, id = rv, rid
+	}
+	return v
+}
 
 // Module lazily builds and caches FuncInfo per function body.
 type Module struct {
@@ -148,7 +185,7 @@ func Analyze(body *ast.BlockStmt, info *types.Info) *FuncInfo {
 
 	// Replay each reachable block, recording the reaching defs at every
 	// variable read before applying the node's own definitions.
-	fi := &FuncInfo{Graph: g, UseDefs: make(map[*ast.Ident][]*Def)}
+	fi := &FuncInfo{Graph: g, UseDefs: make(map[*ast.Ident][]*Def), info: info}
 	for _, blk := range g.Blocks {
 		entry, reachable := in[blk]
 		if !reachable {
@@ -202,21 +239,21 @@ func (b *builder) scanOpaque(body *ast.BlockStmt) {
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if id, ok := unparen(n.X).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 					b.markOpaque(id)
 				}
 			}
 		case *ast.AssignStmt:
 			if depth > 0 {
 				for _, lhs := range n.Lhs {
-					if id, ok := unparen(lhs).(*ast.Ident); ok {
+					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 						b.markOpaque(id)
 					}
 				}
 			}
 		case *ast.IncDecStmt:
 			if depth > 0 {
-				if id, ok := unparen(n.X).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 					b.markOpaque(id)
 				}
 			}
@@ -293,7 +330,7 @@ func (b *builder) defsIn(n ast.Node) []*Def {
 	case *ast.AssignStmt:
 		paired := (n.Tok == token.ASSIGN || n.Tok == token.DEFINE) && len(n.Lhs) == len(n.Rhs)
 		for i, lhs := range n.Lhs {
-			id, ok := unparen(lhs).(*ast.Ident)
+			id, ok := ast.Unparen(lhs).(*ast.Ident)
 			if !ok {
 				continue // writes through selectors/indexes define no variable
 			}
@@ -323,7 +360,7 @@ func (b *builder) defsIn(n ast.Node) []*Def {
 			}
 		}
 	case *ast.IncDecStmt:
-		if id, ok := unparen(n.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 			add(id, nil)
 		}
 	}
@@ -339,7 +376,7 @@ func (b *builder) usesIn(n ast.Node) []*ast.Ident {
 	written := make(map[*ast.Ident]bool)
 	if as, ok := n.(*ast.AssignStmt); ok && (as.Tok == token.ASSIGN || as.Tok == token.DEFINE) {
 		for _, lhs := range as.Lhs {
-			if id, ok := unparen(lhs).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 				written[id] = true
 			}
 		}
@@ -358,16 +395,6 @@ func (b *builder) usesIn(n ast.Node) []*ast.Ident {
 	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
 	return out
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 // PkgLastSegment returns the final path segment of a package path with

@@ -95,12 +95,10 @@ func (c *checker) addDominates(fi *conc.FuncInfo) {
 				}
 			}
 		} else if sp.Callee != nil {
-			if callee := c.m.FuncOf(sp.Callee); callee != nil {
-				for _, op := range callee.WGOps {
-					if op.Kind == conc.WGDone && op.InSpawn == nil &&
-						(strings.HasPrefix(op.Key, "f|") || strings.HasPrefix(op.Key, "g|")) {
-						keys = append(keys, op.Key)
-					}
+			for _, op := range sp.Callee.WGOps {
+				if op.Kind == conc.WGDone && op.InSpawn == nil &&
+					(strings.HasPrefix(op.Key, "f|") || strings.HasPrefix(op.Key, "g|")) {
+					keys = append(keys, op.Key)
 				}
 			}
 		}
